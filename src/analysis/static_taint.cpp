@@ -389,7 +389,7 @@ private:
   void window_shift(State& state, std::size_t i, bool save) {
     const Instruction& instr = function_.code[i];
     // Result computed with the OLD window's operands, written to rd in the
-    // shifted window's coordinates (mirrors vm.cpp do_save/do_restore).
+    // shifted window's coordinates (mirrors the VM cores' SAVE/RESTORE).
     Value result = state.regs[instr.rs1];
     if (isa::opcode_info(instr.op).format == Format::kR) {
       bool ignored = false;

@@ -1,64 +1,21 @@
 #include "guest_memory.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 namespace proxima::mem {
 
-GuestMemory::Page& GuestMemory::page_for(std::uint32_t addr) {
-  const std::uint32_t index = addr / kPageBytes;
-  auto it = pages_.find(index);
-  if (it == pages_.end()) {
-    auto page = std::make_unique<Page>();
-    page->fill(0);
-    it = pages_.emplace(index, std::move(page)).first;
+GuestMemory::Page& GuestMemory::materialise(std::uint32_t addr) {
+  std::unique_ptr<Leaf>& leaf = top_[addr >> kLeafShift];
+  if (leaf == nullptr) {
+    leaf = std::make_unique<Leaf>();
   }
-  return *it->second;
-}
-
-const GuestMemory::Page* GuestMemory::page_if_present(std::uint32_t addr) const {
-  const auto it = pages_.find(addr / kPageBytes);
-  return it == pages_.end() ? nullptr : it->second.get();
-}
-
-std::uint8_t GuestMemory::read_u8(std::uint32_t addr) const {
-  const Page* page = page_if_present(addr);
-  return page == nullptr ? 0 : (*page)[addr % kPageBytes];
-}
-
-std::uint16_t GuestMemory::read_u16(std::uint32_t addr) const {
-  return static_cast<std::uint16_t>((read_u8(addr) << 8) | read_u8(addr + 1));
-}
-
-std::uint32_t GuestMemory::read_u32(std::uint32_t addr) const {
-  // Fast path: whole word inside one resident page.
-  if (addr % kPageBytes <= kPageBytes - 4) {
-    if (const Page* page = page_if_present(addr)) {
-      const std::uint32_t offset = addr % kPageBytes;
-      return (static_cast<std::uint32_t>((*page)[offset]) << 24) |
-             (static_cast<std::uint32_t>((*page)[offset + 1]) << 16) |
-             (static_cast<std::uint32_t>((*page)[offset + 2]) << 8) |
-             static_cast<std::uint32_t>((*page)[offset + 3]);
-    }
-    return 0;
+  std::unique_ptr<Page>& page = (*leaf)[leaf_index(addr)];
+  if (page == nullptr) {
+    page = std::make_unique<Page>(); // value-initialised: all zero
+    ++resident_pages_;
   }
-  return (static_cast<std::uint32_t>(read_u16(addr)) << 16) | read_u16(addr + 2);
-}
-
-std::uint64_t GuestMemory::read_u64(std::uint32_t addr) const {
-  return (static_cast<std::uint64_t>(read_u32(addr)) << 32) | read_u32(addr + 4);
-}
-
-double GuestMemory::read_f64(std::uint32_t addr) const {
-  return std::bit_cast<double>(read_u64(addr));
-}
-
-void GuestMemory::write_u8(std::uint32_t addr, std::uint8_t value) {
-  poke_u8(addr, value);
-  if (!listeners_.empty()) {
-    notify_written(addr, 1);
-  }
+  return *page;
 }
 
 void GuestMemory::write_u16(std::uint32_t addr, std::uint16_t value) {
@@ -67,34 +24,6 @@ void GuestMemory::write_u16(std::uint32_t addr, std::uint16_t value) {
   if (!listeners_.empty()) {
     notify_written(addr, 2);
   }
-}
-
-void GuestMemory::write_u32(std::uint32_t addr, std::uint32_t value) {
-  if (addr % kPageBytes <= kPageBytes - 4) {
-    Page& page = page_for(addr);
-    const std::uint32_t offset = addr % kPageBytes;
-    page[offset] = static_cast<std::uint8_t>(value >> 24);
-    page[offset + 1] = static_cast<std::uint8_t>(value >> 16);
-    page[offset + 2] = static_cast<std::uint8_t>(value >> 8);
-    page[offset + 3] = static_cast<std::uint8_t>(value);
-  } else {
-    poke_u8(addr, static_cast<std::uint8_t>(value >> 24));
-    poke_u8(addr + 1, static_cast<std::uint8_t>(value >> 16));
-    poke_u8(addr + 2, static_cast<std::uint8_t>(value >> 8));
-    poke_u8(addr + 3, static_cast<std::uint8_t>(value));
-  }
-  if (!listeners_.empty()) {
-    notify_written(addr, 4);
-  }
-}
-
-void GuestMemory::write_u64(std::uint32_t addr, std::uint64_t value) {
-  write_u32(addr, static_cast<std::uint32_t>(value >> 32));
-  write_u32(addr + 4, static_cast<std::uint32_t>(value));
-}
-
-void GuestMemory::write_f64(std::uint32_t addr, double value) {
-  write_u64(addr, std::bit_cast<std::uint64_t>(value));
 }
 
 void GuestMemory::copy(std::uint32_t dst, std::uint32_t src,
@@ -137,21 +66,7 @@ void GuestMemory::write_u32_span(std::uint32_t addr,
                                  const std::uint32_t* values,
                                  std::uint32_t count) {
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t word_addr = addr + 4 * i;
-    const std::uint32_t value = values[i];
-    if (word_addr % kPageBytes <= kPageBytes - 4) {
-      Page& page = page_for(word_addr);
-      const std::uint32_t offset = word_addr % kPageBytes;
-      page[offset] = static_cast<std::uint8_t>(value >> 24);
-      page[offset + 1] = static_cast<std::uint8_t>(value >> 16);
-      page[offset + 2] = static_cast<std::uint8_t>(value >> 8);
-      page[offset + 3] = static_cast<std::uint8_t>(value);
-    } else {
-      poke_u8(word_addr, static_cast<std::uint8_t>(value >> 24));
-      poke_u8(word_addr + 1, static_cast<std::uint8_t>(value >> 16));
-      poke_u8(word_addr + 2, static_cast<std::uint8_t>(value >> 8));
-      poke_u8(word_addr + 3, static_cast<std::uint8_t>(value));
-    }
+    poke_u32(addr + 4 * i, values[i]);
   }
   if (count != 0 && !listeners_.empty()) {
     notify_written(addr, 4 * count);
@@ -160,8 +75,12 @@ void GuestMemory::write_u32_span(std::uint32_t addr,
 
 void GuestMemory::fill(std::uint32_t addr, std::uint32_t length,
                        std::uint8_t value) {
-  for (std::uint32_t i = 0; i < length; ++i) {
-    poke_u8(addr + i, value);
+  for (std::uint32_t done = 0; done < length;) {
+    const std::uint32_t at = addr + done;
+    const std::uint32_t span =
+        std::min(length - done, kPageBytes - at % kPageBytes);
+    std::memset(page_for(at).data() + at % kPageBytes, value, span);
+    done += span;
   }
   if (length != 0 && !listeners_.empty()) {
     notify_written(addr, length);
@@ -170,11 +89,27 @@ void GuestMemory::fill(std::uint32_t addr, std::uint32_t length,
 
 void GuestMemory::load(std::uint32_t addr,
                        const std::vector<std::uint8_t>& bytes) {
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    poke_u8(addr + static_cast<std::uint32_t>(i), bytes[i]);
+  const auto length = static_cast<std::uint32_t>(bytes.size());
+  for (std::uint32_t done = 0; done < length;) {
+    const std::uint32_t at = addr + done;
+    const std::uint32_t span =
+        std::min(length - done, kPageBytes - at % kPageBytes);
+    std::memcpy(page_for(at).data() + at % kPageBytes, bytes.data() + done,
+                span);
+    done += span;
   }
-  if (!bytes.empty() && !listeners_.empty()) {
-    notify_written(addr, static_cast<std::uint32_t>(bytes.size()));
+  if (length != 0 && !listeners_.empty()) {
+    notify_written(addr, length);
+  }
+}
+
+void GuestMemory::clear() {
+  for (std::unique_ptr<Leaf>& leaf : top_) {
+    leaf.reset();
+  }
+  resident_pages_ = 0;
+  for (MemoryWriteListener* listener : listeners_) {
+    listener->on_memory_cleared();
   }
 }
 

@@ -4,12 +4,18 @@
 // all multi-byte accessors use big-endian byte order so that relocated code
 // images are bit-exact copies of the originals, as they would be on the real
 // target.
+//
+// Pages live in a directly indexed two-level table: a 1024-entry top array
+// indexed by addr >> 22, whose 4 MiB leaves (1024 page pointers each) are
+// allocated on first write.  Absent leaves and pages read as zero.  The
+// word and byte accessors below are inline so a guest load or store costs
+// two table loads instead of an out-of-line hash lookup.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 namespace proxima::mem {
@@ -31,17 +37,50 @@ class GuestMemory {
 public:
   static constexpr std::uint32_t kPageBytes = 4096;
 
-  std::uint8_t read_u8(std::uint32_t addr) const;
-  std::uint16_t read_u16(std::uint32_t addr) const;
-  std::uint32_t read_u32(std::uint32_t addr) const;
-  std::uint64_t read_u64(std::uint32_t addr) const;
-  double read_f64(std::uint32_t addr) const;
+  std::uint8_t read_u8(std::uint32_t addr) const {
+    const Page* page = page_if_present(addr);
+    return page == nullptr ? 0 : (*page)[addr % kPageBytes];
+  }
+  std::uint16_t read_u16(std::uint32_t addr) const {
+    return static_cast<std::uint16_t>((read_u8(addr) << 8) | read_u8(addr + 1));
+  }
+  std::uint32_t read_u32(std::uint32_t addr) const {
+    const std::uint32_t offset = addr % kPageBytes;
+    if (offset > kPageBytes - 4) [[unlikely]] {
+      return (static_cast<std::uint32_t>(read_u16(addr)) << 16) |
+             read_u16(addr + 2);
+    }
+    const Page* page = page_if_present(addr);
+    return page == nullptr ? 0 : load_be32(page->data() + offset);
+  }
+  std::uint64_t read_u64(std::uint32_t addr) const {
+    return (static_cast<std::uint64_t>(read_u32(addr)) << 32) |
+           read_u32(addr + 4);
+  }
+  double read_f64(std::uint32_t addr) const {
+    return std::bit_cast<double>(read_u64(addr));
+  }
 
-  void write_u8(std::uint32_t addr, std::uint8_t value);
+  void write_u8(std::uint32_t addr, std::uint8_t value) {
+    poke_u8(addr, value);
+    if (!listeners_.empty()) {
+      notify_written(addr, 1);
+    }
+  }
   void write_u16(std::uint32_t addr, std::uint16_t value);
-  void write_u32(std::uint32_t addr, std::uint32_t value);
-  void write_u64(std::uint32_t addr, std::uint64_t value);
-  void write_f64(std::uint32_t addr, double value);
+  void write_u32(std::uint32_t addr, std::uint32_t value) {
+    poke_u32(addr, value);
+    if (!listeners_.empty()) {
+      notify_written(addr, 4);
+    }
+  }
+  void write_u64(std::uint32_t addr, std::uint64_t value) {
+    write_u32(addr, static_cast<std::uint32_t>(value >> 32));
+    write_u32(addr + 4, static_cast<std::uint32_t>(value));
+  }
+  void write_f64(std::uint32_t addr, double value) {
+    write_u64(addr, std::bit_cast<std::uint64_t>(value));
+  }
 
   /// Copy `length` bytes from `src` to `dst` inside guest memory.  Used by
   /// the DSR runtime's eager relocation loop.  Non-overlapping ranges take
@@ -63,16 +102,11 @@ public:
   void load(std::uint32_t addr, const std::vector<std::uint8_t>& bytes);
 
   /// Number of physical pages currently materialised.
-  std::size_t resident_pages() const noexcept { return pages_.size(); }
+  std::size_t resident_pages() const noexcept { return resident_pages_; }
 
   /// Drop all contents (partition reboot wipes the partition image before
   /// the loader rewrites it).
-  void clear() {
-    pages_.clear();
-    for (MemoryWriteListener* listener : listeners_) {
-      listener->on_memory_cleared();
-    }
-  }
+  void clear();
 
   /// Register / deregister a mutation observer.  Listeners are notified on
   /// every write; with none registered the notification cost is one branch.
@@ -80,10 +114,38 @@ public:
   void remove_write_listener(MemoryWriteListener* listener);
 
 private:
-  using Page = std::array<std::uint8_t, kPageBytes>;
+  static constexpr std::uint32_t kPageShift = 12;
+  static constexpr std::uint32_t kLeafShift = 22; // 4 MiB per leaf
+  static constexpr std::uint32_t kLeafPages = 1U << (kLeafShift - kPageShift);
+  static_assert(kPageBytes == 1U << kPageShift);
 
-  Page& page_for(std::uint32_t addr);
-  const Page* page_if_present(std::uint32_t addr) const;
+  using Page = std::array<std::uint8_t, kPageBytes>;
+  using Leaf = std::array<std::unique_ptr<Page>, kLeafPages>;
+
+  static std::uint32_t leaf_index(std::uint32_t addr) {
+    return (addr >> kPageShift) % kLeafPages;
+  }
+  static std::uint32_t load_be32(const std::uint8_t* bytes) {
+    return (static_cast<std::uint32_t>(bytes[0]) << 24) |
+           (static_cast<std::uint32_t>(bytes[1]) << 16) |
+           (static_cast<std::uint32_t>(bytes[2]) << 8) |
+           static_cast<std::uint32_t>(bytes[3]);
+  }
+
+  const Page* page_if_present(std::uint32_t addr) const {
+    const Leaf* leaf = top_[addr >> kLeafShift].get();
+    return leaf == nullptr ? nullptr : (*leaf)[leaf_index(addr)].get();
+  }
+  Page& page_for(std::uint32_t addr) {
+    if (const Leaf* leaf = top_[addr >> kLeafShift].get()) [[likely]] {
+      if (Page* page = (*leaf)[leaf_index(addr)].get()) [[likely]] {
+        return *page;
+      }
+    }
+    return materialise(addr);
+  }
+  /// Allocate the (zeroed) page holding `addr`, and its leaf if needed.
+  Page& materialise(std::uint32_t addr);
 
   void notify_written(std::uint32_t addr, std::uint32_t length) {
     for (MemoryWriteListener* listener : listeners_) {
@@ -91,13 +153,29 @@ private:
     }
   }
 
-  /// Non-notifying byte write used by the bulk operations, which notify
-  /// once for the whole range instead of once per byte.
+  /// Non-notifying writes used by the public writers and the bulk
+  /// operations, which notify once for the whole range instead of once per
+  /// byte or word.
   void poke_u8(std::uint32_t addr, std::uint8_t value) {
     page_for(addr)[addr % kPageBytes] = value;
   }
+  void poke_u32(std::uint32_t addr, std::uint32_t value) {
+    const std::uint32_t offset = addr % kPageBytes;
+    if (offset > kPageBytes - 4) [[unlikely]] {
+      for (std::uint32_t i = 0; i < 4; ++i) {
+        poke_u8(addr + i, static_cast<std::uint8_t>(value >> (24 - 8 * i)));
+      }
+      return;
+    }
+    std::uint8_t* bytes = page_for(addr).data() + offset;
+    bytes[0] = static_cast<std::uint8_t>(value >> 24);
+    bytes[1] = static_cast<std::uint8_t>(value >> 16);
+    bytes[2] = static_cast<std::uint8_t>(value >> 8);
+    bytes[3] = static_cast<std::uint8_t>(value);
+  }
 
-  std::unordered_map<std::uint32_t, std::unique_ptr<Page>> pages_;
+  std::array<std::unique_ptr<Leaf>, 1U << (32 - kLeafShift)> top_{};
+  std::size_t resident_pages_ = 0;
   std::vector<MemoryWriteListener*> listeners_;
 };
 

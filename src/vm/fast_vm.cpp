@@ -69,7 +69,6 @@ RunResult Vm::run_fast(std::uint64_t cycle_budget) {
   mem::MemoryHierarchy& hier = hierarchy_;
   mem::PerfCounters& ctr = hier.counters();
   const VmConfig& cfg = config_;
-  const std::uint32_t nw = cfg.nwindows;
   // Instruction-mix telemetry: hoisted so the off case is one never-taken
   // branch on a register, invisible next to the fetch/dispatch work.
   std::uint64_t* const mix = mix_;
@@ -77,23 +76,17 @@ RunResult Vm::run_fast(std::uint64_t cycle_budget) {
   // is off, so the hot path pays one never-taken branch.
   TaintState* const taint = taint_.get();
 
-  // Inline register-file access, mirroring visible/visible_value/set_reg.
+  // Inline register-file access through the window map (rebuilt by
+  // save_window/restore_window), mirroring visible/visible_value/set_reg.
+  // Decoded register fields are 5 bits wide, so every index is < 32.
+  std::uint32_t* const regs = regs_.data();
+  const std::uint32_t* const window_map = window_map_.data();
   auto vis = [&](std::uint8_t index) -> std::uint32_t& {
-    if (index < 8) {
-      return globals_[index];
-    }
-    if (index < 16) { // outs of cwp
-      return windowed_[(cwp_ * 16 + (index - 8u)) % (nw * 16)];
-    }
-    if (index < 24) { // locals of cwp
-      return windowed_[(cwp_ * 16 + 8u + (index - 16u)) % (nw * 16)];
-    }
-    // ins of cwp == outs of cwp+1
-    return windowed_[(((cwp_ + 1) % nw) * 16 + (index - 24u)) % (nw * 16)];
+    return regs[window_map[index]];
   };
-  auto rv = [&](std::uint8_t index) -> std::uint32_t {
-    return index == isa::kG0 ? 0u : vis(index);
-  };
+  // %g0's slot is never written (wr and set_reg discard it), so it reads
+  // zero through the map without a test.
+  auto rv = [&](std::uint8_t index) -> std::uint32_t { return vis(index); };
   auto wr = [&](std::uint8_t index, std::uint32_t value) {
     if (index != isa::kG0) {
       vis(index) = value;
@@ -1217,18 +1210,30 @@ next_instruction:
   }
 
   // ---- register windows ----
+  // Operands are read in the current window and rd written in the new one,
+  // exactly as the reference core's kSave/kRestore case does.
   VM_CASE(kSave) {
-    do_save(op->rd, rv(op->rs1) + static_cast<std::uint32_t>(op->imm));
+    const std::uint32_t value =
+        rv(op->rs1) + static_cast<std::uint32_t>(op->imm);
+    const std::uint8_t rd = op->rd; // a spill store may invalidate `op`
+    save_window();
+    wr(rd, value);
     pc_ += 4;
     VM_NEXT();
   }
   VM_CASE(kSavex) {
-    do_save(op->rd, rv(op->rs1) + rv(op->rs2));
+    const std::uint32_t value = rv(op->rs1) + rv(op->rs2);
+    const std::uint8_t rd = op->rd;
+    save_window();
+    wr(rd, value);
     pc_ += 4;
     VM_NEXT();
   }
   VM_CASE(kRestore) {
-    do_restore(isa::Instruction{Opcode::kRestore, op->rd, op->rs1, op->rs2, 0});
+    const std::uint32_t value = rv(op->rs1) + rv(op->rs2);
+    const std::uint8_t rd = op->rd;
+    restore_window();
+    wr(rd, value);
     pc_ += 4;
     VM_NEXT();
   }

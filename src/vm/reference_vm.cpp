@@ -422,15 +422,22 @@ void Vm::execute(const Instruction& instr) {
     break;
 
   // ---- register windows ----
+  // SAVE computes in the current window and writes rd in the new one
+  // (standard idiom: save %sp, -N, %sp); RESTORE writes rd in the old
+  // (caller) window.
   case Opcode::kSave:
-    do_save(instr.rd, rs1() + simm());
-    break;
   case Opcode::kSavex:
-    do_save(instr.rd, rs1() + rs2());
+  case Opcode::kRestore: {
+    const std::uint32_t value =
+        instr.op == Opcode::kSave ? rs1() + simm() : rs1() + rs2();
+    if (instr.op == Opcode::kRestore) {
+      restore_window();
+    } else {
+      save_window();
+    }
+    set_reg(instr.rd, value);
     break;
-  case Opcode::kRestore:
-    do_restore(instr);
-    break;
+  }
 
   // ---- floating point ----
   case Opcode::kFaddd: {

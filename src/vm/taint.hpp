@@ -18,6 +18,9 @@
 // like the instruction-mix hook).
 #pragma once
 
+#include "vm/window_map.hpp"
+
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <unordered_map>
@@ -42,9 +45,11 @@ struct TaintStats {
 
 class TaintState {
 public:
-  explicit TaintState(std::uint32_t nwindows)
-      : nwindows_(nwindows),
-        windowed_(static_cast<std::size_t>(nwindows) * 16, 0) {}
+  /// `window_map` is the owning Vm's map, read on every register access;
+  /// it must outlive this object.
+  TaintState(std::uint32_t nwindows, const WindowMap& window_map)
+      : window_map_(window_map),
+        regs_(kGlobalSlots + static_cast<std::size_t>(nwindows) * 16, 0) {}
 
   void add_source_range(std::uint32_t base, std::uint32_t length) {
     if (length != 0) {
@@ -66,27 +71,24 @@ public:
 
   /// Drop register shadows (matches Vm::reset zeroing the register file).
   void clear_registers() {
-    globals_.fill(0);
-    std::fill(windowed_.begin(), windowed_.end(), 0);
+    std::fill(regs_.begin(), regs_.end(), 0);
     fregs_.fill(0);
   }
   /// Drop the guest-memory shadow; the runner calls this at the start of
   /// every run so per-run leak metrics are a pure function of that run.
   void clear_memory() { pages_.clear(); }
 
-  // Visible-register shadow access; the window arithmetic mirrors
-  // Vm::visible exactly (%g0 reads clean, writes are discarded).
-  bool reg(std::uint8_t index, std::uint32_t cwp) const {
-    if (index == 0) {
-      return false;
-    }
-    return const_cast<TaintState*>(this)->slot(index, cwp) != 0;
+  // Visible-register shadow access through the Vm's window map (%g0 reads
+  // clean, writes are discarded).  An index past %i7 — the odd partner of
+  // an ldd/std whose alignment fault comes after the transfer function —
+  // is treated the same way.
+  bool reg(std::uint8_t index) const {
+    return tracked(index) && regs_[window_map_[index]] != 0;
   }
-  void set_reg(std::uint8_t index, std::uint32_t cwp, bool tainted) {
-    if (index == 0) {
-      return;
+  void set_reg(std::uint8_t index, bool tainted) {
+    if (tracked(index)) {
+      regs_[window_map_[index]] = tainted ? 1 : 0;
     }
-    slot(index, cwp) = tainted ? 1 : 0;
   }
   bool freg(std::uint8_t index) const {
     return index < fregs_.size() && fregs_[index] != 0;
@@ -97,10 +99,11 @@ public:
     }
   }
 
-  // Physical windowed-slot access for the spill/fill mirror.
-  bool windowed_slot(std::size_t slot) const { return windowed_[slot] != 0; }
-  void set_windowed_slot(std::size_t slot, bool tainted) {
-    windowed_[slot] = tainted ? 1 : 0;
+  // Physical-slot access (window_slot) for registers outside the current
+  // window: SAVE/RESTORE destinations and the spill/fill mirror.
+  bool slot_tainted(std::uint32_t slot) const { return regs_[slot] != 0; }
+  void set_slot(std::uint32_t slot, bool tainted) {
+    regs_[slot] = tainted ? 1 : 0;
   }
 
   /// Shadow of the aligned word containing `addr`.
@@ -154,24 +157,12 @@ private:
     return false;
   }
 
-  std::uint8_t& slot(std::uint8_t index, std::uint32_t cwp) {
-    const std::uint32_t n = nwindows_;
-    if (index < 8) {
-      return globals_[index];
-    }
-    if (index < 16) { // outs of cwp
-      return windowed_[(cwp * 16 + (index - 8U)) % (n * 16)];
-    }
-    if (index < 24) { // locals of cwp
-      return windowed_[(cwp * 16 + 8U + (index - 16U)) % (n * 16)];
-    }
-    // ins of cwp == outs of cwp+1
-    return windowed_[(((cwp + 1) % n) * 16 + (index - 24U)) % (n * 16)];
+  static bool tracked(std::uint8_t index) {
+    return index != 0 && index < isa::kRegisterCount;
   }
 
-  std::uint32_t nwindows_;
-  std::array<std::uint8_t, 8> globals_{};
-  std::vector<std::uint8_t> windowed_; // nwindows * 16, matches Vm layout
+  const WindowMap& window_map_;
+  std::vector<std::uint8_t> regs_; // same layout as Vm's register file
   std::array<std::uint8_t, 16> fregs_{};
   std::vector<TaintRange> sources_;
   std::vector<TaintRange> sinks_;

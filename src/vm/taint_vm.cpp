@@ -34,11 +34,12 @@ using isa::Opcode;
 
 void Vm::taint_execute(const Instruction& instr) {
   TaintState& t = *taint_;
-  const std::uint32_t cwp = cwp_;
-  const auto tr = [&](std::uint8_t i) { return t.reg(i, cwp); };
-  const auto wr = [&](std::uint8_t i, bool v) { t.set_reg(i, cwp, v); };
-  const auto rs1v = [&] { return visible_value(instr.rs1); };
-  const auto rs2v = [&] { return visible_value(instr.rs2); };
+  const auto tr = [&](std::uint8_t i) { return t.reg(i); };
+  const auto wr = [&](std::uint8_t i, bool v) { t.set_reg(i, v); };
+  // Operand values through the window map, like the fast cores (%g0's
+  // slot always holds zero).
+  const auto rs1v = [&] { return regs_[window_map_[instr.rs1]]; };
+  const auto rs2v = [&] { return regs_[window_map_[instr.rs2]]; };
   const auto simm = [&] { return static_cast<std::uint32_t>(instr.imm); };
 
   // Load taint: shadow word, or a hit in a declared source range.
@@ -171,7 +172,7 @@ void Vm::taint_execute(const Instruction& instr) {
 
   // ---- control transfer: the return address IS the code layout ----
   case Opcode::kCall:
-    t.set_reg(isa::kO7, cwp, true);
+    wr(isa::kO7, true);
     ++t.stats().pc_taints;
     break;
   case Opcode::kJmpl:
@@ -191,17 +192,21 @@ void Vm::taint_execute(const Instruction& instr) {
     if (resident_ == n - 1) {
       taint_spill_oldest_window(); // mirrors the overflow trap
     }
-    t.set_reg(instr.rd, (cwp + n - 1) % n, tainted); // rd in the NEW window
+    if (instr.rd != isa::kG0) { // rd in the NEW window
+      t.set_slot(window_slot(instr.rd, save_target(cwp_, n), n), tainted);
+    }
     break;
   }
   case Opcode::kRestore: {
     const bool tainted = tr(instr.rs1) || tr(instr.rs2);
     const std::uint32_t n = config_.nwindows;
-    const std::uint32_t target = (cwp + 1) % n;
+    const std::uint32_t target = restore_target(cwp_, n);
     if (resident_ == 1) {
       taint_fill_window(target); // mirrors the underflow trap
     }
-    t.set_reg(instr.rd, target, tainted); // rd in the OLD (caller) window
+    if (instr.rd != isa::kG0) { // rd in the OLD (caller) window
+      t.set_slot(window_slot(instr.rd, target, n), tainted);
+    }
     break;
   }
 
@@ -250,19 +255,10 @@ void Vm::taint_spill_oldest_window() {
   TaintState& t = *taint_;
   const std::uint32_t n = config_.nwindows;
   const std::uint32_t w = (cwp_ + resident_ - 1) % n;
-  const std::uint32_t sp = windowed_[(w * 16 + 6) % (n * 16)];
-  for (std::uint32_t pair = 0; pair < 4; ++pair) {
-    const std::uint32_t lo_index = (w * 16 + 8 + pair * 2) % (n * 16);
-    t.set_mem_word(sp + pair * 8, t.windowed_slot(lo_index));
-    t.set_mem_word(sp + pair * 8 + 4,
-                   t.windowed_slot((lo_index + 1) % (n * 16)));
-  }
-  const std::uint32_t ins_base = ((w + 1) % n) * 16; // ins(w) == outs(w+1)
-  for (std::uint32_t pair = 0; pair < 4; ++pair) {
-    const std::uint32_t in_index = (ins_base + pair * 2) % (n * 16);
-    t.set_mem_word(sp + 32 + pair * 8, t.windowed_slot(in_index));
-    t.set_mem_word(sp + 32 + pair * 8 + 4,
-                   t.windowed_slot((in_index + 1) % (n * 16)));
+  const std::uint32_t sp = regs_[window_slot(isa::kSp, w, n)];
+  for (std::uint32_t word = 0; word < 16; ++word) {
+    t.set_mem_word(sp + word * 4,
+                   t.slot_tainted(window_slot(isa::kL0 + word, w, n)));
   }
 }
 
@@ -271,18 +267,8 @@ void Vm::taint_fill_window(std::uint32_t w) {
   TaintState& t = *taint_;
   const std::uint32_t n = config_.nwindows;
   const std::uint32_t sp = visible_value(isa::kFp);
-  for (std::uint32_t pair = 0; pair < 4; ++pair) {
-    const std::uint32_t lo_index = (w * 16 + 8 + pair * 2) % (n * 16);
-    t.set_windowed_slot(lo_index, t.mem_word(sp + pair * 8));
-    t.set_windowed_slot((lo_index + 1) % (n * 16),
-                        t.mem_word(sp + pair * 8 + 4));
-  }
-  const std::uint32_t ins_base = ((w + 1) % n) * 16;
-  for (std::uint32_t pair = 0; pair < 4; ++pair) {
-    const std::uint32_t in_index = (ins_base + pair * 2) % (n * 16);
-    t.set_windowed_slot(in_index, t.mem_word(sp + 32 + pair * 8));
-    t.set_windowed_slot((in_index + 1) % (n * 16),
-                        t.mem_word(sp + 32 + pair * 8 + 4));
+  for (std::uint32_t word = 0; word < 16; ++word) {
+    t.set_slot(window_slot(isa::kL0 + word, w, n), t.mem_word(sp + word * 4));
   }
 }
 

@@ -13,7 +13,6 @@
 
 namespace proxima::vm {
 
-using isa::Instruction;
 using isa::Opcode;
 
 Vm::Vm(mem::GuestMemory& memory, mem::MemoryHierarchy& hierarchy,
@@ -22,9 +21,9 @@ Vm::Vm(mem::GuestMemory& memory, mem::MemoryHierarchy& hierarchy,
   if (config_.nwindows < 3) {
     throw VmError("at least 3 register windows are required");
   }
-  globals_.assign(8, 0);
-  windowed_.assign(static_cast<std::size_t>(config_.nwindows) * 16, 0);
-  fregs_.assign(isa::kFpRegisterCount, 0.0);
+  regs_.assign(kGlobalSlots + static_cast<std::size_t>(config_.nwindows) * 16,
+               0);
+  build_window_map(window_map_, cwp_, config_.nwindows);
   if (config_.core != VmCore::kReference) {
     decode_ = std::make_unique<DecodeCache>();
     decode_->set_superblock_costs(DecodeCache::SuperblockCosts{
@@ -34,7 +33,7 @@ Vm::Vm(mem::GuestMemory& memory, mem::MemoryHierarchy& hierarchy,
     memory_.add_write_listener(decode_.get());
   }
   if (config_.taint) {
-    taint_ = std::make_unique<TaintState>(config_.nwindows);
+    taint_ = std::make_unique<TaintState>(config_.nwindows, window_map_);
   }
 }
 
@@ -57,10 +56,10 @@ void Vm::reset(std::uint32_t entry_pc, std::uint32_t stack_top) {
   if (stack_top % 8 != 0) {
     throw VmError("stack top must be doubleword-aligned");
   }
-  std::fill(globals_.begin(), globals_.end(), 0);
-  std::fill(windowed_.begin(), windowed_.end(), 0);
-  std::fill(fregs_.begin(), fregs_.end(), 0.0);
+  std::fill(regs_.begin(), regs_.end(), 0);
+  fregs_.fill(0.0);
   cwp_ = 0;
+  build_window_map(window_map_, cwp_, config_.nwindows);
   resident_ = 1;
   icc_ = ConditionCodes{};
   fcc_ = FpCondition::kEqual;
@@ -75,18 +74,22 @@ void Vm::reset(std::uint32_t entry_pc, std::uint32_t stack_top) {
 }
 
 std::uint32_t& Vm::visible(std::uint8_t index) {
+  // The reference core's own window arithmetic, deliberately independent of
+  // window_map_: the differential suite checks the fast cores' map against
+  // it.
   const std::uint32_t n = config_.nwindows;
+  std::uint32_t* const windowed = regs_.data() + kGlobalSlots;
   if (index < 8) {
-    return globals_[index];
+    return regs_[index];
   }
   if (index < 16) { // outs of cwp
-    return windowed_[(cwp_ * 16 + (index - 8u)) % (n * 16)];
+    return windowed[(cwp_ * 16 + (index - 8u)) % (n * 16)];
   }
   if (index < 24) { // locals of cwp
-    return windowed_[(cwp_ * 16 + 8u + (index - 16u)) % (n * 16)];
+    return windowed[(cwp_ * 16 + 8u + (index - 16u)) % (n * 16)];
   }
   // ins of cwp == outs of cwp+1
-  return windowed_[(((cwp_ + 1) % n) * 16 + (index - 24u)) % (n * 16)];
+  return windowed[(((cwp_ + 1) % n) * 16 + (index - 24u)) % (n * 16)];
 }
 
 std::uint32_t Vm::visible_value(std::uint8_t index) const {
@@ -96,27 +99,21 @@ std::uint32_t Vm::visible_value(std::uint8_t index) const {
   return const_cast<Vm*>(this)->visible(index);
 }
 
-std::uint32_t Vm::reg(std::uint8_t index) const { return visible_value(index); }
+std::uint32_t Vm::reg(std::uint8_t index) const {
+  if (index >= isa::kRegisterCount) {
+    fault("integer register index out of range");
+  }
+  return visible_value(index);
+}
 
 void Vm::set_reg(std::uint8_t index, std::uint32_t value) {
+  if (index >= isa::kRegisterCount) {
+    fault("integer register index out of range");
+  }
   if (index == isa::kG0) {
     return; // %g0 is hardwired to zero
   }
   visible(index) = value;
-}
-
-double Vm::freg(std::uint8_t index) const {
-  if (index >= fregs_.size()) {
-    fault("fp register index out of range");
-  }
-  return fregs_[index];
-}
-
-void Vm::set_freg(std::uint8_t index, double value) {
-  if (index >= fregs_.size()) {
-    fault("fp register index out of range");
-  }
-  fregs_[index] = value;
 }
 
 void Vm::fault(const std::string& what) const {
@@ -176,7 +173,7 @@ void Vm::spill_oldest_window() {
   // Save area: that window's %sp (its out6), which the SPARC ABI guarantees
   // points at 64 bytes of spill space.  With DSR, this address carries the
   // random stack offset — spill traffic is randomised too.
-  const std::uint32_t sp = windowed_[(w * 16 + 6) % (n * 16)];
+  const std::uint32_t sp = regs_[window_slot(isa::kSp, w, n)];
   if (sp % 8 != 0) {
     fault("window spill with misaligned %sp");
   }
@@ -184,19 +181,12 @@ void Vm::spill_oldest_window() {
   ++hierarchy_.counters().window_overflows;
   // Store %l0-%l7 then %i0-%i7 as eight doubleword stores (as real spill
   // handlers do with std), through the data cache path.
-  for (std::uint32_t pair = 0; pair < 4; ++pair) {
-    const std::uint32_t lo_index = (w * 16 + 8 + pair * 2) % (n * 16);
-    memory_.write_u32(sp + pair * 8, windowed_[lo_index]);
-    memory_.write_u32(sp + pair * 8 + 4, windowed_[(lo_index + 1) % (n * 16)]);
-    cycles_ += 1 + hierarchy_.store(sp + pair * 8, cycles_, 8);
-  }
-  const std::uint32_t ins_base = ((w + 1) % n) * 16; // ins(w) == outs(w+1)
-  for (std::uint32_t pair = 0; pair < 4; ++pair) {
-    const std::uint32_t in_index = (ins_base + pair * 2) % (n * 16);
-    memory_.write_u32(sp + 32 + pair * 8, windowed_[in_index]);
-    memory_.write_u32(sp + 32 + pair * 8 + 4,
-                      windowed_[(in_index + 1) % (n * 16)]);
-    cycles_ += 1 + hierarchy_.store(sp + 32 + pair * 8, cycles_, 8);
+  for (std::uint32_t pair = 0; pair < 8; ++pair) {
+    const std::uint32_t reg = isa::kL0 + pair * 2;
+    const std::uint32_t addr = sp + pair * 8;
+    memory_.write_u32(addr, regs_[window_slot(reg, w, n)]);
+    memory_.write_u32(addr + 4, regs_[window_slot(reg + 1, w, n)]);
+    cycles_ += 1 + hierarchy_.store(addr, cycles_, 8);
   }
   --resident_;
 }
@@ -211,47 +201,35 @@ void Vm::fill_window(std::uint32_t w) {
   }
   cycles_ += config_.trap_cycles;
   ++hierarchy_.counters().window_underflows;
-  for (std::uint32_t pair = 0; pair < 4; ++pair) {
-    const std::uint32_t lo_index = (w * 16 + 8 + pair * 2) % (n * 16);
-    windowed_[lo_index] = memory_.read_u32(sp + pair * 8);
-    windowed_[(lo_index + 1) % (n * 16)] = memory_.read_u32(sp + pair * 8 + 4);
-    cycles_ += 1 + config_.load_use_cycles + hierarchy_.load(sp + pair * 8);
-  }
-  const std::uint32_t ins_base = ((w + 1) % n) * 16;
-  for (std::uint32_t pair = 0; pair < 4; ++pair) {
-    const std::uint32_t in_index = (ins_base + pair * 2) % (n * 16);
-    windowed_[in_index] = memory_.read_u32(sp + 32 + pair * 8);
-    windowed_[(in_index + 1) % (n * 16)] =
-        memory_.read_u32(sp + 32 + pair * 8 + 4);
-    cycles_ += 1 + config_.load_use_cycles + hierarchy_.load(sp + 32 + pair * 8);
+  for (std::uint32_t pair = 0; pair < 8; ++pair) {
+    const std::uint32_t reg = isa::kL0 + pair * 2;
+    const std::uint32_t addr = sp + pair * 8;
+    regs_[window_slot(reg, w, n)] = memory_.read_u32(addr);
+    regs_[window_slot(reg + 1, w, n)] = memory_.read_u32(addr + 4);
+    cycles_ += 1 + config_.load_use_cycles + hierarchy_.load(addr);
   }
   ++resident_;
 }
 
-void Vm::do_save(std::uint8_t rd, std::uint32_t value) {
+void Vm::save_window() {
   const std::uint32_t n = config_.nwindows;
   if (resident_ == n - 1) {
     spill_oldest_window(); // window overflow trap
   }
-  cwp_ = (cwp_ + n - 1) % n;
+  cwp_ = save_target(cwp_, n);
   ++resident_;
-  // rd is written in the NEW window (standard idiom: save %sp, -N, %sp).
-  set_reg(rd, value);
+  build_window_map(window_map_, cwp_, n);
 }
 
-void Vm::do_restore(const Instruction& instr) {
+void Vm::restore_window() {
   const std::uint32_t n = config_.nwindows;
-  // Compute in the CURRENT window before rotating.
-  const std::uint32_t result =
-      visible_value(instr.rs1) + visible_value(instr.rs2);
-  const std::uint32_t target = (cwp_ + 1) % n;
+  const std::uint32_t target = restore_target(cwp_, n);
   if (resident_ == 1) {
     fill_window(target); // window underflow trap
   }
   cwp_ = target;
   --resident_;
-  set_reg(instr.rd, result); // written in the OLD (caller) window
+  build_window_map(window_map_, cwp_, n);
 }
-
 
 } // namespace proxima::vm

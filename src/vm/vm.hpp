@@ -23,7 +23,9 @@
 #include "mem/guest_memory.hpp"
 #include "mem/hierarchy.hpp"
 #include "vm/decode.hpp"
+#include "vm/window_map.hpp"
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -149,11 +151,22 @@ public:
   std::uint64_t cycles() const noexcept { return cycles_; }
   std::uint64_t instructions() const noexcept { return instructions_; }
 
-  /// Visible integer register (through the current window).
+  /// Visible integer register (through the current window).  Throws
+  /// VmError for an index outside %g0-%i7.
   std::uint32_t reg(std::uint8_t index) const;
   void set_reg(std::uint8_t index, std::uint32_t value);
-  double freg(std::uint8_t index) const;
-  void set_freg(std::uint8_t index, double value);
+  double freg(std::uint8_t index) const {
+    if (index >= fregs_.size()) [[unlikely]] {
+      fault("fp register index out of range");
+    }
+    return fregs_[index];
+  }
+  void set_freg(std::uint8_t index, double value) {
+    if (index >= fregs_.size()) [[unlikely]] {
+      fault("fp register index out of range");
+    }
+    fregs_[index] = value;
+  }
   const ConditionCodes& icc() const noexcept { return icc_; }
   FpCondition fcc() const noexcept { return fcc_; }
 
@@ -217,8 +230,11 @@ private:
   void taint_execute(const isa::Instruction& instr);
   void taint_spill_oldest_window();
   void taint_fill_window(std::uint32_t window);
-  void do_save(std::uint8_t rd, std::uint32_t value);
-  void do_restore(const isa::Instruction& instr);
+  /// The window rotation of SAVE / RESTORE, including the overflow /
+  /// underflow trap and the window-map rebuild; the operand read before
+  /// and the rd write after it are left to the calling core.
+  void save_window();
+  void restore_window();
   void spill_oldest_window();
   void fill_window(std::uint32_t window);
   std::uint32_t fp_extra_cycles(isa::Opcode op, double a, double b) const;
@@ -230,9 +246,9 @@ private:
   mem::MemoryHierarchy& hierarchy_;
   VmConfig config_;
 
-  std::vector<std::uint32_t> globals_;  // 8
-  std::vector<std::uint32_t> windowed_; // nwindows * 16 (outs+locals slices)
-  std::vector<double> fregs_;           // 16
+  std::vector<std::uint32_t> regs_; // [8 globals | nwindows * 16 windowed]
+  WindowMap window_map_{};          // visible index -> regs_ slot at cwp_
+  std::array<double, isa::kFpRegisterCount> fregs_{};
   std::uint32_t cwp_ = 0;
   std::uint32_t resident_ = 1;
   ConditionCodes icc_;

@@ -3,10 +3,25 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <utility>
+#include <vector>
 
 namespace {
 
 using proxima::mem::GuestMemory;
+using proxima::mem::MemoryWriteListener;
+
+/// The page table's leaves cover 4 MiB each.
+constexpr std::uint32_t kLeafBytes = 4U << 20;
+
+struct RecordingListener : MemoryWriteListener {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> writes;
+  int clears = 0;
+  void on_memory_written(std::uint32_t addr, std::uint32_t length) override {
+    writes.emplace_back(addr, length);
+  }
+  void on_memory_cleared() override { ++clears; }
+};
 
 TEST(GuestMemory, ZeroInitialised) {
   GuestMemory mem;
@@ -118,6 +133,109 @@ TEST(GuestMemory, HighAddressesWork) {
   GuestMemory mem;
   mem.write_u32(0xfffffff8, 0x99aabbcc);
   EXPECT_EQ(mem.read_u32(0xfffffff8), 0x99aabbccu);
+}
+
+TEST(GuestMemory, WordAndDoublewordStraddleLeafBoundary) {
+  GuestMemory mem;
+  mem.write_u32(kLeafBytes - 2, 0x11223344);
+  EXPECT_EQ(mem.read_u32(kLeafBytes - 2), 0x11223344u);
+  EXPECT_EQ(mem.read_u8(kLeafBytes - 1), 0x22u);
+  EXPECT_EQ(mem.read_u8(kLeafBytes), 0x33u); // first byte of the next leaf
+  EXPECT_EQ(mem.resident_pages(), 2u);
+
+  // A doubleword whose halves sit in different leaves.
+  mem.write_u64(2 * kLeafBytes - 4, 0x0102030405060708ULL);
+  EXPECT_EQ(mem.read_u64(2 * kLeafBytes - 4), 0x0102030405060708ULL);
+  EXPECT_EQ(mem.read_u32(2 * kLeafBytes), 0x05060708u);
+  // ... and one straddling a plain page boundary inside a leaf.
+  mem.write_f64(5 * GuestMemory::kPageBytes - 4, -2.5);
+  EXPECT_EQ(mem.read_f64(5 * GuestMemory::kPageBytes - 4), -2.5);
+  EXPECT_EQ(mem.resident_pages(), 6u);
+}
+
+TEST(GuestMemory, LastPageAndWrapToZero) {
+  GuestMemory mem;
+  mem.write_u32(0xfffffffc, 0xdeadbeef);
+  EXPECT_EQ(mem.read_u32(0xfffffffc), 0xdeadbeefu);
+  EXPECT_EQ(mem.read_u8(0xffffffff), 0xefu);
+  EXPECT_EQ(mem.resident_pages(), 1u);
+
+  // The word at 0xfffffffe wraps: its low half lands at address 0.
+  mem.write_u32(0xfffffffe, 0xaabbccdd);
+  EXPECT_EQ(mem.read_u32(0xfffffffe), 0xaabbccddu);
+  EXPECT_EQ(mem.read_u8(0xfffffffe), 0xaau);
+  EXPECT_EQ(mem.read_u8(0xffffffff), 0xbbu);
+  EXPECT_EQ(mem.read_u8(0), 0xccu);
+  EXPECT_EQ(mem.read_u8(1), 0xddu);
+  EXPECT_EQ(mem.read_u16(0xffffffff), 0xbbccu);
+  EXPECT_EQ(mem.resident_pages(), 2u);
+  // An absent neighbour of a resident page still reads zero.
+  EXPECT_EQ(mem.read_u32(0xffffeffc), 0u);
+  EXPECT_EQ(mem.resident_pages(), 2u);
+}
+
+TEST(GuestMemory, ResidentPagesCountAcrossLeaves) {
+  GuestMemory mem;
+  for (std::uint32_t leaf = 0; leaf < 4; ++leaf) {
+    for (std::uint32_t page = 0; page < 3; ++page) {
+      mem.write_u8(leaf * 0x40000000 + page * 0x100000, 1);
+      mem.write_u8(leaf * 0x40000000 + page * 0x100000 + 8, 2); // same page
+    }
+  }
+  EXPECT_EQ(mem.resident_pages(), 12u);
+  EXPECT_EQ(mem.read_u8(0xc0200000), 1u);
+  EXPECT_EQ(mem.read_u8(0xc0300000), 0u);
+}
+
+TEST(GuestMemory, ClearReadsZeroAndNotifiesOnce) {
+  GuestMemory mem;
+  RecordingListener listener;
+  mem.add_write_listener(&listener);
+  mem.write_u32(0x700, 0x12345678);
+  mem.write_u32(kLeafBytes * 3 + 0x10, 0x9abcdef0);
+  mem.clear();
+  EXPECT_EQ(listener.clears, 1);
+  EXPECT_EQ(mem.resident_pages(), 0u);
+  EXPECT_EQ(mem.read_u32(0x700), 0u);
+  EXPECT_EQ(mem.read_u32(kLeafBytes * 3 + 0x10), 0u);
+  // The table is usable again after a clear.
+  mem.write_u8(0x700, 7);
+  EXPECT_EQ(mem.read_u8(0x700), 7u);
+  EXPECT_EQ(mem.resident_pages(), 1u);
+  mem.remove_write_listener(&listener);
+}
+
+TEST(GuestMemory, LoadAndFillAcrossLeafNotifyOnceWithFullRange) {
+  GuestMemory mem;
+  RecordingListener listener;
+  mem.add_write_listener(&listener);
+
+  const std::uint32_t base = kLeafBytes - 3 * GuestMemory::kPageBytes - 5;
+  std::vector<std::uint8_t> bytes(6 * GuestMemory::kPageBytes + 11);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  mem.load(base, bytes);
+  ASSERT_EQ(listener.writes.size(), 1u);
+  EXPECT_EQ(listener.writes[0],
+            std::make_pair(base, static_cast<std::uint32_t>(bytes.size())));
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    ASSERT_EQ(mem.read_u8(base + static_cast<std::uint32_t>(i)), bytes[i])
+        << i;
+  }
+  EXPECT_EQ(mem.read_u8(base - 1), 0u);
+  EXPECT_EQ(mem.resident_pages(), 8u);
+
+  listener.writes.clear();
+  const std::uint32_t fill_base = 2 * kLeafBytes - 10;
+  mem.fill(fill_base, 2 * GuestMemory::kPageBytes, 0x5a);
+  ASSERT_EQ(listener.writes.size(), 1u);
+  EXPECT_EQ(listener.writes[0],
+            std::make_pair(fill_base, 2 * GuestMemory::kPageBytes));
+  EXPECT_EQ(mem.read_u32(2 * kLeafBytes - 4), 0x5a5a5a5au);
+  EXPECT_EQ(mem.read_u8(fill_base + 2 * GuestMemory::kPageBytes - 1), 0x5au);
+  EXPECT_EQ(mem.read_u8(fill_base + 2 * GuestMemory::kPageBytes), 0u);
+  mem.remove_write_listener(&listener);
 }
 
 } // namespace

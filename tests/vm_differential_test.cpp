@@ -15,6 +15,7 @@
 #include "exec/registry.hpp"
 #include "isa/builder.hpp"
 #include "obs/metrics.hpp"
+#include "vm/taint.hpp"
 #include "vm_harness.hpp"
 
 #include <gtest/gtest.h>
@@ -217,6 +218,139 @@ TEST(VmDifferential, ArchitecturalStateMatchesOnHandwrittenProgram) {
   EXPECT_EQ(fast_sb.cpu.icc().z, reference.cpu.icc().z);
   EXPECT_EQ(fast.cpu.pc(), reference.cpu.pc());
   EXPECT_EQ(fast_sb.cpu.pc(), reference.cpu.pc());
+}
+
+// The fast cores reach every register through a window map built from
+// nwindows; the reference core computes the same slot with its own modular
+// formula.  A windowed recursion deep enough to spill and fill at every
+// window count must leave all three cores in the same state: cycles,
+// counters, taint statistics and shadows, and all 32 visible registers
+// read through reg() (the reference formula) at halt.
+TEST(VmDifferential, RegisterWindowsAtEveryWindowCount) {
+  constexpr int kDepth = 12;
+  isa::Program program;
+  {
+    isa::FunctionBuilder fb("main");
+    // Live locals and ins in main's window: spilled by the deep recursion
+    // and filled back before halt.
+    for (std::uint8_t k = 0; k < 8; ++k) {
+      fb.li(static_cast<std::uint8_t>(isa::kL0 + k), 100 + k);
+    }
+    for (std::uint8_t k = 0; k < 6; ++k) {
+      fb.li(static_cast<std::uint8_t>(isa::kI0 + k), 200 + k);
+    }
+    fb.li(isa::kO0, kDepth);
+    fb.call("fact");
+    fb.load_address(isa::kO1, "result");
+    fb.st(isa::kO0, isa::kO1, 0);
+    fb.load_address(isa::kO2, "leak");
+    fb.st(isa::kO7, isa::kO2, 0); // the call's return address: a sink store
+    fb.halt();
+    program.functions.push_back(std::move(fb).build());
+  }
+  {
+    isa::FunctionBuilder fb("fact");
+    fb.prologue(96);                      // n visible as %i0
+    fb.mov(isa::kL0, isa::kI0);           // a live local in every frame
+    fb.add(isa::kL1, isa::kL0, isa::kI7); // layout-derived (taints %l1)
+    fb.load_address(isa::kL2, "table");
+    fb.ld(isa::kL3, isa::kL2, 0);         // a source load (taints %l3)
+    fb.subcci(isa::kI0, 1);
+    fb.ble("base");
+    fb.subi(isa::kO0, isa::kI0, 1);
+    fb.call("fact");
+    fb.mul(isa::kI0, isa::kL0, isa::kO0); // n * fact(n-1), returned in %i0
+    fb.ba("done");
+    fb.label("base");
+    fb.li(isa::kI0, 1);
+    fb.label("done");
+    fb.epilogue();
+    program.functions.push_back(std::move(fb).build());
+  }
+  program.data.push_back(
+      isa::DataObject{.name = "result", .size = 4, .init = {}});
+  program.data.push_back(
+      isa::DataObject{.name = "leak", .size = 4, .init = {}});
+  program.data.push_back(
+      isa::DataObject{.name = "table", .size = 4, .init = {}});
+  program.entry = "main";
+
+  for (const std::uint32_t nwindows : {3U, 5U, 8U}) {
+    for (const bool taint : {false, true}) {
+      const std::string label = "nwindows " + std::to_string(nwindows) +
+                                (taint ? " taint on" : " taint off");
+      std::vector<std::unique_ptr<test::TestMachine>> machines;
+      std::vector<vm::RunResult> results;
+      for (const vm::VmCore core : {vm::VmCore::kReference, vm::VmCore::kFast,
+                                    vm::VmCore::kFastSb}) {
+        // A bounded budget: a wrong window map derails the recursion.
+        auto& machine = machines.emplace_back(
+            std::make_unique<test::TestMachine>(
+                program, isa::LinkOptions{},
+                vm::VmConfig{.core = core,
+                             .nwindows = nwindows,
+                             .max_instructions = 100'000,
+                             .taint = taint}));
+        machine->cpu.taint_add_source_range(
+            machine->image.symbol("table").addr, 4);
+        machine->cpu.taint_add_sink_range(machine->image.symbol("leak").addr,
+                                          4);
+        results.push_back(machine->run());
+        ASSERT_EQ(results.back().stop, vm::RunResult::Stop::kHalt)
+            << label << " core " << machines.size() - 1;
+      }
+      const test::TestMachine& reference = *machines.front();
+      EXPECT_EQ(reference.memory.read_u32(reference.image.symbol("result").addr),
+                479001600u) // 12!
+          << label;
+      const mem::PerfCounters& counters = reference.hierarchy.counters();
+      EXPECT_GT(counters.window_overflows, 0u) << label;
+      EXPECT_EQ(counters.window_overflows, counters.window_underflows)
+          << label;
+      const vm::TaintStats stats = reference.cpu.taint_stats();
+      if (taint) {
+        EXPECT_EQ(stats.sink_stores, 1u) << label;
+        EXPECT_EQ(stats.source_loads, static_cast<std::uint64_t>(kDepth))
+            << label;
+        EXPECT_GT(stats.pc_taints, 0u) << label;
+      }
+      for (std::size_t m = 1; m < machines.size(); ++m) {
+        const test::TestMachine& other = *machines[m];
+        const std::string core_label = label + " core " + std::to_string(m);
+        EXPECT_EQ(results[m].cycles, results.front().cycles) << core_label;
+        EXPECT_EQ(results[m].instructions, results.front().instructions)
+            << core_label;
+        EXPECT_TRUE(other.hierarchy.counters() == counters) << core_label;
+        const vm::TaintStats other_stats = other.cpu.taint_stats();
+        EXPECT_EQ(other_stats.pc_taints, stats.pc_taints) << core_label;
+        EXPECT_EQ(other_stats.source_loads, stats.source_loads) << core_label;
+        EXPECT_EQ(other_stats.tainted_stores, stats.tainted_stores)
+            << core_label;
+        EXPECT_EQ(other_stats.sink_stores, stats.sink_stores) << core_label;
+        EXPECT_EQ(other.cpu.taint_sink_bits(), reference.cpu.taint_sink_bits())
+            << core_label;
+        EXPECT_EQ(other.cpu.pc(), reference.cpu.pc()) << core_label;
+        EXPECT_EQ(other.cpu.resident_windows(),
+                  reference.cpu.resident_windows())
+            << core_label;
+        for (std::uint8_t index = 0; index < isa::kRegisterCount; ++index) {
+          EXPECT_EQ(other.cpu.reg(index), reference.cpu.reg(index))
+              << core_label << " " << isa::register_name(index);
+          if (taint) {
+            EXPECT_EQ(other.cpu.taint_state()->reg(index),
+                      reference.cpu.taint_state()->reg(index))
+                << core_label << " shadow of " << isa::register_name(index);
+          }
+        }
+      }
+      // main's locals and ins survived the spill/fill round trip.
+      for (std::uint8_t k = 0; k < 8; ++k) {
+        EXPECT_EQ(reference.cpu.reg(static_cast<std::uint8_t>(isa::kL0 + k)),
+                  100u + k)
+            << label;
+      }
+    }
+  }
 }
 
 // Dynamic taint tracking (vm/taint.hpp) is maintained by one shared

@@ -88,6 +88,44 @@ TEST(VmAlu, G0IsAlwaysZero) {
   EXPECT_EQ(machine.cpu.reg(kO0), 0u);
 }
 
+TEST(VmAlu, RegisterIndexPastI7Faults) {
+  // Only %g0-%i7 are visible.  Index 40 used to land in the ins branch of
+  // the window arithmetic and silently write a register of the next
+  // window; now it faults.  Decoded instructions cannot name such an index
+  // (the register fields are 5 bits wide).
+  FunctionBuilder fb("main");
+  fb.halt();
+  TestMachine machine(single(std::move(fb)));
+  EXPECT_THROW(machine.cpu.set_reg(32, 1), VmError);
+  EXPECT_THROW(machine.cpu.set_reg(40, 1), VmError);
+  EXPECT_THROW((void)machine.cpu.reg(32), VmError);
+  EXPECT_THROW((void)machine.cpu.reg(255), VmError);
+  for (std::uint8_t index = 0; index < kRegisterCount; ++index) {
+    EXPECT_EQ(machine.cpu.reg(index), index == kSp ? proxima::test::kStackTop
+                                                   : 0u)
+        << "register " << int{index} << " written by a rejected set_reg";
+  }
+  machine.cpu.set_reg(kI7, 7);
+  EXPECT_EQ(machine.cpu.reg(kI7), 7u);
+}
+
+TEST(VmAlu, FpRegisterIndexPastF15Faults) {
+  FunctionBuilder fb("main");
+  fb.halt();
+  TestMachine machine(single(std::move(fb)));
+  try {
+    machine.cpu.set_freg(kFpRegisterCount, 1.0);
+    FAIL() << "set_freg accepted f16";
+  } catch (const VmError& e) {
+    EXPECT_NE(std::string(e.what()).find("fp register index out of range"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)machine.cpu.freg(kFpRegisterCount), VmError);
+  machine.cpu.set_freg(15, 2.5);
+  EXPECT_EQ(machine.cpu.freg(15), 2.5);
+}
+
 TEST(VmAlu, SethiOrloBuilds32BitConstant) {
   FunctionBuilder fb("main");
   fb.li(kO0, static_cast<std::int32_t>(0xdeadbeef));
