@@ -10,10 +10,10 @@
 // (host-word block moves, range invalidations) against the original
 // per-word store loop on every core:
 //
-//   * per-rerandomise wall time for the fast-sb core (superblock tier,
-//     the default), the fast core, and the reference core (no decode
-//     cache) — the fast-vs-reference delta is the decode-cache coherence
-//     cost, the batched-vs-per-word delta is what the fast path buys;
+//   * per-rerandomise wall time for the fast core (the default) and the
+//     reference core (no decode cache) — the fast-vs-reference delta is
+//     the decode-cache coherence cost, the batched-vs-per-word delta is
+//     what the fast path buys;
 //   * the guest-side work metered by DsrRuntime::Stats (relocations, bytes
 //     copied, cache lines invalidated) per reboot, which is layout-
 //     independent, identical across relocation paths by construction, and
@@ -131,16 +131,12 @@ int main() {
       std::to_string(reseeds) + " reboots per leg");
 
   std::printf("batched relocation (default):\n");
-  const Leg fast_sb = run_leg(vm::VmCore::kFastSb, true,
-                              "fast-sb core (superblocks)", reseeds);
   const Leg fast = run_leg(vm::VmCore::kFast, true,
                            "fast core (decode cache)", reseeds);
   const Leg reference =
       run_leg(vm::VmCore::kReference, true, "reference core", reseeds);
 
   std::printf("\nper-word relocation (--no-batch path):\n");
-  const Leg fast_sb_pw = run_leg(vm::VmCore::kFastSb, false,
-                                 "fast-sb core (superblocks)", reseeds);
   const Leg fast_pw = run_leg(vm::VmCore::kFast, false,
                               "fast core (decode cache)", reseeds);
   const Leg reference_pw =
@@ -158,28 +154,25 @@ int main() {
                ? 0.0
                : per_word.micros_per_reseed() / batched.micros_per_reseed();
   };
-  std::printf("batched speedup: fast-sb %.2fx, fast %.2fx, reference %.2fx\n",
-              speedup(fast_sb, fast_sb_pw), speedup(fast, fast_pw),
-              speedup(reference, reference_pw));
+  std::printf("batched speedup: fast %.2fx, reference %.2fx\n",
+              speedup(fast, fast_pw), speedup(reference, reference_pw));
 
   // Gates: the guest-side work is a pure function of the layout stream, so
   // every core and both relocation paths must meter identical work; the
   // batched path must not be slower than the loop it replaces; and the
   // layouts must actually vary (a stuck entry address means the reseed is
   // a no-op).
-  const bool same_work = same_guest_work(fast_sb.stats, fast.stats) &&
-                         same_guest_work(fast_sb.stats, reference.stats);
-  const bool same_paths = same_guest_work(fast_sb.stats, fast_sb_pw.stats) &&
-                          same_guest_work(fast.stats, fast_pw.stats) &&
+  const bool same_work = same_guest_work(fast.stats, reference.stats);
+  const bool same_paths = same_guest_work(fast.stats, fast_pw.stats) &&
                           same_guest_work(reference.stats, reference_pw.stats);
   const bool batched_wins =
-      fast_sb.micros_per_reseed() <= fast_sb_pw.micros_per_reseed();
-  const bool layouts_vary = fast_sb.distinct_entries > reseeds / 4;
+      fast.micros_per_reseed() <= fast_pw.micros_per_reseed();
+  const bool layouts_vary = fast.distinct_entries > reseeds / 4;
   std::printf("shape check: identical guest-side work across cores: %s; "
               "across relocation paths: %s; batched <= per-word on "
-              "fast-sb: %s; layouts vary (%zu distinct entries): %s\n",
+              "fast: %s; layouts vary (%zu distinct entries): %s\n",
               same_work ? "yes" : "NO", same_paths ? "yes" : "NO",
-              batched_wins ? "yes" : "NO", fast_sb.distinct_entries,
+              batched_wins ? "yes" : "NO", fast.distinct_entries,
               layouts_vary ? "yes" : "NO");
   return same_work && same_paths && batched_wins && layouts_vary ? 0 : 1;
 }

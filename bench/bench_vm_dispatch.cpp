@@ -1,18 +1,15 @@
-// Dispatch-core comparison: the three execution tiers — reference switch
-// interpreter, predecoded fast core, and the superblock (fast-sb) tier —
-// on the same control-task campaigns, sequentially.
+// Dispatch-core comparison: the reference switch interpreter against the
+// predecoded fast core on the same control-task campaigns, sequentially.
 //
-// Reports guest instructions per wall second for each tier plus the
-// speedup ratios.  The campaigns must be *bit-identical* across all three
+// Reports guest instructions per wall second for each core plus the
+// speedup ratio.  The campaigns must be *bit-identical* across both
 // cores — any divergence in UoA cycles or counters fails the bench
 // outright — so the numbers this bench prints are pure dispatch-speed
 // deltas, not behaviour changes.
 //
 // Exit status: 0 iff results are identical on every workload AND, on the
 // operation-like control-task workload, the fast core sustains >= 1.5x the
-// reference core's instructions/second AND the superblock tier is at least
-// as fast as the plain fast core (the CI gate that keeps the new default
-// tier from regressing).
+// reference core's instructions/second.
 #include "bench_util.hpp"
 #include "casestudy/control_task.hpp"
 
@@ -55,18 +52,16 @@ double mips(const CoreRun& run) {
 
 int main() {
   const std::uint32_t runs = campaign_runs(300);
-  print_header("VM dispatch: reference vs fast vs fast-sb (" +
+  print_header("VM dispatch: reference vs fast (" +
                std::to_string(runs) + " runs each, sequential)");
   std::printf("control program: %zu static instructions (predecode slots)\n\n",
               build_control_program(ControlParams{}).total_instructions());
 
   bool all_identical = true;
   double control_fast_ratio = 0.0;
-  double control_sb_ratio = 0.0;
 
-  std::printf("%-26s %10s %10s %10s %7s %7s  %s\n", "workload", "ref Mi/s",
-              "fast Mi/s", "sb Mi/s", "fast/ref", "sb/fast",
-              "bit-identical");
+  std::printf("%-26s %10s %10s %7s  %s\n", "workload", "ref Mi/s",
+              "fast Mi/s", "fast/ref", "bit-identical");
   for (const char* name :
        {"control/operation-cots", "control/analysis-dsr",
         "control/operation-hwrand"}) {
@@ -74,23 +69,17 @@ int main() {
         exec::ScenarioRegistry::global().at(name).make_config(runs);
     const CoreRun reference = run_core(config, vm::VmCore::kReference);
     const CoreRun fast = run_core(config, vm::VmCore::kFast);
-    const CoreRun fast_sb = run_core(config, vm::VmCore::kFastSb);
 
     const double ref_mips = mips(reference);
     const double fast_mips = mips(fast);
-    const double sb_mips = mips(fast_sb);
     const double fast_ratio = fast_mips / ref_mips;
-    const double sb_ratio = sb_mips / fast_mips;
-    const bool same = identical(fast.result, reference.result) &&
-                      identical(fast_sb.result, reference.result);
+    const bool same = identical(fast.result, reference.result);
     all_identical = all_identical && same;
     if (std::string_view(name) == "control/operation-cots") {
       control_fast_ratio = fast_ratio;
-      control_sb_ratio = sb_ratio;
     }
-    std::printf("%-26s %10.1f %10.1f %10.1f %6.2fx %6.2fx  %s\n", name,
-                ref_mips, fast_mips, sb_mips, fast_ratio, sb_ratio,
-                same ? "yes" : "NO — DIVERGENCE");
+    std::printf("%-26s %10.1f %10.1f %6.2fx  %s\n", name, ref_mips,
+                fast_mips, fast_ratio, same ? "yes" : "NO — DIVERGENCE");
   }
 
   std::printf("\nshape check: bit-identical on all workloads: %s\n",
@@ -98,11 +87,5 @@ int main() {
   std::printf("shape check: fast core >= 1.5x reference on the control task: "
               "%s (%.2fx)\n",
               control_fast_ratio >= 1.5 ? "yes" : "NO", control_fast_ratio);
-  std::printf("shape check: fast-sb >= fast on the control task: %s "
-              "(%.2fx)\n",
-              control_sb_ratio >= 1.0 ? "yes" : "NO", control_sb_ratio);
-  return (all_identical && control_fast_ratio >= 1.5 &&
-          control_sb_ratio >= 1.0)
-             ? 0
-             : 1;
+  return all_identical && control_fast_ratio >= 1.5 ? 0 : 1;
 }

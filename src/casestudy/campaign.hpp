@@ -167,11 +167,10 @@ struct CampaignConfig {
   LeakParams leak;
   Layout layout = Layout::kCotsBad;
   Randomisation randomisation = Randomisation::kNone;
-  /// Execution core for the guest activations.  The superblock tier of
-  /// the predecoded fast core is the default; `kFast` disables the tier
-  /// and the reference interpreter is the differential-test oracle (all
-  /// three produce bit-identical samples).
-  vm::VmCore vm_core = vm::VmCore::kFastSb;
+  /// Execution core for the guest activations.  The predecoded fast core
+  /// is the default; the reference interpreter is the differential-test
+  /// oracle (both produce bit-identical samples).
+  vm::VmCore vm_core = vm::VmCore::kFast;
   std::uint32_t runs = 1000;
   /// Extra unmeasured activations before the campaign (each measured run
   /// already gets its own same-layout warm-up; this is rarely needed).

@@ -73,7 +73,7 @@ CampaignRunner::CampaignRunner(const CampaignConfig& config)
   hierarchy_.set_strict_coherence(true); // any stale fetch is a campaign bug
   trace_buffer_.attach(cpu_);
   image_.load_into(memory_);
-  // One-time predecode pass over the loaded image (fast cores only): the
+  // One-time predecode pass over the loaded image (fast core only): the
   // decode cache stays coherent through DSR relocation and re-links via
   // the guest-memory write listener, so this is purely a warm start.
   cpu_.predecode(image_.code_begin(), image_.code_end() - image_.code_begin());
@@ -428,23 +428,6 @@ void CampaignRunner::obs_publish_run(const RunSample& sample) {
       "vm.decode.full_invalidations",
       static_cast<double>(decode_now.full_invalidations -
                           decode_base_.full_invalidations));
-  // vm.superblock.*: the fast-sb tier's trace activity — zero on the
-  // other cores (and when taint forces the op-at-a-time fallback), which
-  // is fine for a gauge family: digests never include gauges.
-  run_metrics_.add_gauge("vm.superblock.formed",
-                         static_cast<double>(decode_now.superblocks_formed -
-                                             decode_base_.superblocks_formed));
-  run_metrics_.add_gauge("vm.superblock.entered",
-                         static_cast<double>(decode_now.superblocks_entered -
-                                             decode_base_.superblocks_entered));
-  run_metrics_.add_gauge(
-      "vm.superblock.ops_retired",
-      static_cast<double>(decode_now.superblock_ops_retired -
-                          decode_base_.superblock_ops_retired));
-  run_metrics_.add_gauge(
-      "vm.superblock.invalidated",
-      static_cast<double>(decode_now.superblocks_invalidated -
-                          decode_base_.superblocks_invalidated));
   // leak.*: dynamic taint activity over the measured window (hv runs: the
   // whole schedule — cross-partition exposure is the point there).  The
   // per-run deltas and the end-of-run sink walk are pure functions of the

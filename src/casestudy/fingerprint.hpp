@@ -11,7 +11,7 @@
 //   * `runs`          — the store serves prefixes of any length; the run
 //                       count changes how many samples exist, never their
 //                       values.
-//   * `vm_core`       — all three cores (fast, fast-sb, reference) are
+//   * `vm_core`       — both cores (fast, reference) are
 //                       bit-identical by the differential-test contract
 //                       (vm_differential), so any core may fill or read
 //                       the same cell.

@@ -209,8 +209,6 @@ const char* vm_core_name(vm::VmCore core) {
   switch (core) {
   case vm::VmCore::kFast:
     return "fast";
-  case vm::VmCore::kFastSb:
-    return "fast-sb";
   case vm::VmCore::kReference:
     return "reference";
   }

@@ -427,16 +427,8 @@ CampaignOptions mirror_candidate_options(const std::string& against,
   }
   if (const JsonValue* core = scenario.get("vm_core");
       core && core->is_string()) {
-    if (core->string == "fast") {
-      options.vm_core = vm::VmCore::kFast;
-    } else if (core->string == "fast-sb") {
-      options.vm_core = vm::VmCore::kFastSb;
-    } else if (core->string == "reference") {
-      options.vm_core = vm::VmCore::kReference;
-    } else {
-      throw UsageError("diff --against: candidate records unknown vm_core '" +
-                       core->string + "'");
-    }
+    options.vm_core =
+        parse_vm_core("diff --against: candidate vm_core", core->string);
   }
   if (const JsonValue* frames = scenario.get("frames");
       frames && frames->is_number()) {

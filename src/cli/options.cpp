@@ -56,39 +56,6 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
   return row[b.size()];
 }
 
-vm::VmCore parse_vm_core(std::string_view text) {
-  static constexpr std::pair<std::string_view, vm::VmCore> kCores[] = {
-      {"fast", vm::VmCore::kFast},
-      {"fast-sb", vm::VmCore::kFastSb},
-      {"reference", vm::VmCore::kReference},
-  };
-  for (const auto& [name, core] : kCores) {
-    if (text == name) {
-      return core;
-    }
-  }
-  std::string message = "--vm-core: expected fast|fast-sb|reference, got '" +
-                        std::string(text) + "'";
-  const std::size_t threshold = std::max<std::size_t>(2, text.size() / 3);
-  std::vector<std::pair<std::size_t, std::string_view>> scored;
-  for (const auto& [name, core] : kCores) {
-    const std::size_t distance = edit_distance(text, name);
-    if (distance <= threshold) {
-      scored.emplace_back(distance, name);
-    }
-  }
-  std::sort(scored.begin(), scored.end());
-  if (!scored.empty()) {
-    message += "; did you mean:";
-    for (const auto& [distance, name] : scored) {
-      message += ' ';
-      message += name;
-    }
-    message += '?';
-  }
-  throw UsageError(message);
-}
-
 casestudy::Randomisation parse_randomisation(std::string_view text) {
   static constexpr std::pair<std::string_view, casestudy::Randomisation>
       kArms[] = {
@@ -127,6 +94,39 @@ casestudy::Randomisation parse_randomisation(std::string_view text) {
 }
 
 } // namespace
+
+vm::VmCore parse_vm_core(std::string_view context, std::string_view text) {
+  static constexpr std::pair<std::string_view, vm::VmCore> kCores[] = {
+      {"fast", vm::VmCore::kFast},
+      {"reference", vm::VmCore::kReference},
+  };
+  for (const auto& [name, core] : kCores) {
+    if (text == name) {
+      return core;
+    }
+  }
+  std::string message = std::string(context) +
+                        ": expected fast|reference, got '" +
+                        std::string(text) + "'";
+  const std::size_t threshold = std::max<std::size_t>(2, text.size() / 3);
+  std::vector<std::pair<std::size_t, std::string_view>> scored;
+  for (const auto& [name, core] : kCores) {
+    const std::size_t distance = edit_distance(text, name);
+    if (distance <= threshold) {
+      scored.emplace_back(distance, name);
+    }
+  }
+  std::sort(scored.begin(), scored.end());
+  if (!scored.empty()) {
+    message += "; did you mean:";
+    for (const auto& [distance, name] : scored) {
+      message += ' ';
+      message += name;
+    }
+    message += '?';
+  }
+  throw UsageError(message);
+}
 
 Command parse_command_line(std::span<const char* const> args) {
   Command command;
@@ -292,7 +292,7 @@ Command parse_command_line(std::span<const char* const> args) {
         throw UsageError("--tolerance: must be a finite number >= 0");
       }
     } else if (flag == "--vm-core") {
-      options.vm_core = parse_vm_core(value());
+      options.vm_core = parse_vm_core(flag, value());
     } else if (flag == "--randomisation") {
       options.randomisation = parse_randomisation(value());
     } else if (flag == "--format") {
@@ -419,8 +419,8 @@ std::string usage() {
       "  --workers W          engine worker threads (default: hardware)\n"
       "  --seed S             campaign seed (input seed S, layout seed\n"
       "                       splitmix64(S); default: the paper's 2017/611085)\n"
-      "  --vm-core C          fast-sb|fast|reference (default fast-sb, the\n"
-      "                       superblock tier; all three are bit-identical)\n"
+      "  --vm-core C          fast|reference (default fast, the predecoded\n"
+      "                       core; both are bit-identical)\n"
       "  --randomisation R    cots|dsr|dsr-ondemand|static|hwrand: override\n"
       "                       the scenario's randomisation technology\n"
       "                       (default: the scenario's registered arm)\n"

@@ -13,6 +13,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace proxima::cli {
@@ -41,7 +42,7 @@ struct CampaignOptions {
   /// `--seed S`: input seed S, layout seed splitmix64_mix(S) — one knob
   /// reseeds the whole campaign deterministically.
   std::optional<std::uint64_t> seed;
-  vm::VmCore vm_core = vm::VmCore::kFastSb;
+  vm::VmCore vm_core = vm::VmCore::kFast;
   /// `--randomisation R`: override the scenario's randomisation technology
   /// (cots|dsr|dsr-ondemand|static|hwrand); unset keeps the scenario's
   /// registered arm.
@@ -127,6 +128,12 @@ struct Command {
 
 /// Parse `args` (argv without the program name).  Throws UsageError.
 Command parse_command_line(std::span<const char* const> args);
+
+/// The core named `text` (fast|reference): the one table of core names
+/// behind `--vm-core` and `diff --against`.  Throws UsageError prefixed
+/// with `context` (the flag or document field), listing the names and
+/// the closest matches.
+vm::VmCore parse_vm_core(std::string_view context, std::string_view text);
 
 /// The full usage text (also the `help` command's output).
 std::string usage();

@@ -112,50 +112,6 @@ public:
     return false;
   }
 
-  /// Pure probe (no state change): would `read_hit_fast` hit for `addr`
-  /// right now?  True only for a valid, clean line under modulo placement
-  /// — exactly the zero-stall case.  The superblock executor uses this to
-  /// prove a run of same-line fetches trivial, then books their accounting
-  /// in bulk with `account_read_hits_fast`.
-  bool fast_hit_resident(std::uint32_t addr) const {
-    if (config_.placement != Placement::kModulo) {
-      return false;
-    }
-    const std::uint32_t tag = addr >> line_shift_;
-    const Line* base = &lines_[static_cast<std::size_t>(tag & set_mask_) *
-                               config_.ways];
-    for (std::uint32_t w = 0; w < config_.ways; ++w) {
-      const Line& line = base[w];
-      if (line.valid && line.tag == tag) {
-        return !line.stale;
-      }
-    }
-    return false;
-  }
-
-  /// Book `n` deferred clean read hits on the line holding `addr`:
-  /// equivalent to `n` successive `read_hit_fast` calls on that line with
-  /// no other access to this cache in between (hit counter += n, use-clock
-  /// advanced by n, the line stamped with the final value).  Staleness is
-  /// deliberately NOT rechecked: the caller proved the line clean when the
-  /// deferred accesses logically happened, and a store that staled it since
-  /// switches the caller back to real per-access probes — the deferred
-  /// hits all predate the store.
-  void account_read_hits_fast(std::uint32_t addr, std::uint64_t n) {
-    const std::uint32_t tag = addr >> line_shift_;
-    Line* base = &lines_[static_cast<std::size_t>(tag & set_mask_) *
-                         config_.ways];
-    for (std::uint32_t w = 0; w < config_.ways; ++w) {
-      Line& line = base[w];
-      if (line.valid && line.tag == tag) {
-        stats_.hits += n;
-        use_clock_ += n;
-        line.last_use = use_clock_;
-        return;
-      }
-    }
-  }
-
   /// Inline write-hit probe, the store-path counterpart of
   /// `read_hit_fast`: accounts a hit exactly as `write` would (including
   /// the dirty/write-through policy effects) or changes nothing.

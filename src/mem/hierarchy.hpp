@@ -126,34 +126,6 @@ public:
     return store_after_l2_probe(addr, current_cycle, cycles);
   }
 
-  // -------------------------------------------------------------------
-  // Bulk fetch accounting for the superblock execution tier.  A fetch is
-  // "trivial" when it would resolve entirely through the inline hit paths
-  // with zero stall cycles: ITLB MRU-memo hit plus a clean IL1 hit.  The
-  // superblock executor proves a run of same-line fetches trivial once,
-  // defers their accounting, and books them here in one call — the cycle
-  // totals and every counter come out identical to per-access fetch_fast
-  // calls (the differential VM suite pins this).
-  // -------------------------------------------------------------------
-
-  /// Pure probe, no state change: would `fetch_fast(addr)` return 0 while
-  /// touching only the ITLB memo and one clean IL1 line?
-  bool fetch_line_is_trivial(std::uint32_t addr) const {
-    return itlb_.memo_covers(addr) && il1_.fast_hit_resident(addr);
-  }
-
-  /// Book `n` deferred trivial fetches of the line holding `addr`:
-  /// counter-for-counter identical to `n` `fetch_fast` calls that all hit
-  /// the ITLB memo and the same clean IL1 line (each returning 0 stall
-  /// cycles).  Caller contract: `fetch_line_is_trivial(addr)` held when
-  /// the deferred fetches logically happened and no other instruction-path
-  /// access interleaved.
-  void fetch_account_trivial(std::uint32_t addr, std::uint64_t n) {
-    itlb_.account_memo_hits(n);
-    counters_.icache_access += n;
-    il1_.account_read_hits_fast(addr, n);
-  }
-
   /// Data store of `length` bytes at the current pipeline cycle.  DL1 is
   /// write-through no-write-allocate; stores are absorbed by a single-entry
   /// write buffer that drains through the bus into the L2, so a store only

@@ -50,31 +50,6 @@ public:
     return access(addr);
   }
 
-  /// Pure probe (no state change): would `access_fast` resolve `addr`
-  /// through the MRU memo right now?  The superblock executor uses this to
-  /// prove a run of fetches trivial, then books them in bulk with
-  /// `account_memo_hits`.
-  bool memo_covers(std::uint32_t addr) const {
-    if (mru_index_ == kNoMru) {
-      return false;
-    }
-    const Entry& entry = entries_[mru_index_];
-    return entry.valid && entry.page == (addr >> page_shift_);
-  }
-
-  /// Book `n` deferred MRU-memo hits at once: equivalent to `n` successive
-  /// `access_fast` calls on the memoised page with no other access to this
-  /// TLB in between (hit counter += n, use-clock advanced by n, the entry
-  /// stamped with the final value — the intermediate timestamps are
-  /// unobservable because nothing reads LRU state between pure memo hits).
-  /// Caller contract: `memo_covers` held when the deferred accesses
-  /// logically happened and no interleaving access moved the memo.
-  void account_memo_hits(std::uint64_t n) {
-    use_clock_ += n;
-    entries_[mru_index_].last_use = use_clock_;
-    stats_.hits += n;
-  }
-
   /// True if the page holding `addr` is resident (no state change).
   bool contains(std::uint32_t addr) const;
 

@@ -2,22 +2,6 @@
 
 namespace proxima::vm {
 
-namespace {
-
-/// Ops a superblock may fuse: straight-line work with no control transfer,
-/// register-window traffic, trap, or service handler.  [kNop..kStfx] is
-/// exactly nop + ALU + mul/div + every load/store; the FP arithmetic block
-/// is contiguous further up.  Everything else — branches, kCall/kJmpl,
-/// kSave/kSavex/kRestore, kRdtick/kIpoint/kFlush/kHalt/kTrapReloc and the
-/// kUndecodedOp/kInvalidOp sentinels — terminates formation.
-bool fusable_handler(std::uint8_t handler) {
-  return handler <= static_cast<std::uint8_t>(isa::Opcode::kStfx) ||
-         (handler >= static_cast<std::uint8_t>(isa::Opcode::kFaddd) &&
-          handler <= static_cast<std::uint8_t>(isa::Opcode::kFabsd));
-}
-
-} // namespace
-
 DecodeCache::Page& DecodeCache::page_slow(std::uint32_t index) {
   auto it = pages_.find(index);
   if (it == pages_.end()) {
@@ -65,84 +49,8 @@ void DecodeCache::predecode_range(const mem::GuestMemory& memory,
   }
 }
 
-std::uint16_t DecodeCache::form_superblock(Page& page, std::uint32_t slot) {
-  std::uint32_t end = slot;
-  while (end < kOpsPerPage && fusable_handler(page.ops[end].handler)) {
-    ++end;
-  }
-  const std::uint32_t count = end - slot;
-  if (count < kMinSuperblockOps) {
-    if (end < kOpsPerPage && page.ops[end].handler == kUndecodedOp) {
-      // Run cut short by a slot nobody has decoded yet: no verdict —
-      // retry once the op-at-a-time path decodes it.  Formation itself
-      // never decodes, so the `decodes` gauge stays identical between the
-      // fast and fast-sb cores.
-      return kSbUnexplored;
-    }
-    page.sb_head[slot] = kSbDeclined;
-    return kSbDeclined;
-  }
-  if (page.superblocks.size() >= kMaxBlocksPerPage) {
-    compact_superblocks(page);
-  }
-  Superblock sb;
-  sb.begin = static_cast<std::uint16_t>(slot);
-  sb.count = static_cast<std::uint16_t>(count);
-  sb.plan.resize(count);
-  const std::uint32_t line_words =
-      costs_.fetch_line_words == 0 ? 1 : costs_.fetch_line_words;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint8_t handler = page.ops[slot + i].handler;
-    SuperblockOp& op = sb.plan[i];
-    // The unconditional pre-fault charge: the 1-cycle dispatch base, plus
-    // the full multiply latency for kMul/kMuli (the only extra charge the
-    // op-at-a-time core books with no fault check in front of it).  Every
-    // other latency stays behind its fault check in the executor.
-    op.pre_cycles =
-        (handler == static_cast<std::uint8_t>(isa::Opcode::kMul) ||
-         handler == static_cast<std::uint8_t>(isa::Opcode::kMuli))
-            ? static_cast<std::uint16_t>(costs_.mul_cycles)
-            : std::uint16_t{1};
-    // Pages are 4 KiB-aligned, a multiple of any line size, so a line
-    // boundary is simply a slot index divisible by the line's word count.
-    op.new_line = i == 0 || (slot + i) % line_words == 0;
-  }
-  page.superblocks.push_back(std::move(sb));
-  const std::uint16_t head = static_cast<std::uint16_t>(page.superblocks.size());
-  page.sb_head[slot] = head;
-  ++stats_.superblocks_formed;
-  return head;
-}
-
-void DecodeCache::compact_superblocks(Page& page) {
-  std::vector<Superblock> live;
-  live.reserve(page.superblocks.size() / 2);
-  for (Superblock& sb : page.superblocks) {
-    if (sb.live) {
-      live.push_back(std::move(sb));
-    }
-  }
-  page.superblocks = std::move(live);
-  for (std::uint16_t& head : page.sb_head) {
-    if (head != kSbDeclined) {
-      head = kSbUnexplored;
-    }
-  }
-  for (std::size_t i = 0; i < page.superblocks.size(); ++i) {
-    page.sb_head[page.superblocks[i].begin] =
-        static_cast<std::uint16_t>(i + 1);
-  }
-}
-
 void DecodeCache::invalidate_all() {
   ++stats_.full_invalidations;
-  for (const auto& [index, page] : pages_) {
-    for (const Superblock& sb : page->superblocks) {
-      if (sb.live) {
-        ++stats_.superblocks_invalidated;
-      }
-    }
-  }
   pages_.clear();
   mru_ = nullptr;
   mru_index_ = 0xffff'ffff;
@@ -164,7 +72,11 @@ void DecodeCache::invalidate_range(std::uint32_t addr, std::uint32_t length) {
   const std::uint32_t last_word = (addr + length - 1) >> 2;
   const std::uint32_t first_page = first_word >> (kPageShift - 2);
   const std::uint32_t last_page = last_word >> (kPageShift - 2);
-  for (std::uint32_t index = first_page;; ++index) {
+  // A range that wraps past 0xFFFFFFFF has last_page < first_page: step
+  // the index modulo the page count so the walk wraps with it.
+  constexpr std::uint32_t kPageIndexMask = (1u << (32 - kPageShift)) - 1;
+  for (std::uint32_t index = first_page;;
+       index = (index + 1) & kPageIndexMask) {
     const auto it = pages_.find(index);
     if (it != pages_.end()) {
       Page& page = *it->second;
@@ -173,26 +85,11 @@ void DecodeCache::invalidate_range(std::uint32_t addr, std::uint32_t length) {
       const std::uint32_t end =
           index == last_page ? (last_word & (kOpsPerPage - 1)) + 1
                              : kOpsPerPage;
-      // Kill every live superblock overlapping the written slots before
-      // resetting them: a block's ops are about to change under it.  The
-      // record stays in place (an executor mid-block polls `live` after
-      // stores and bails); only the head anchor is unhooked.
-      for (Superblock& sb : page.superblocks) {
-        if (sb.live && sb.begin < end &&
-            static_cast<std::uint32_t>(sb.begin) + sb.count > begin) {
-          sb.live = false;
-          page.sb_head[sb.begin] = kSbUnexplored;
-          ++stats_.superblocks_invalidated;
-        }
-      }
       for (std::uint32_t slot = begin; slot < end; ++slot) {
         if (page.ops[slot].handler != kUndecodedOp) {
           ++stats_.invalidated_slots;
         }
         page.ops[slot].handler = kUndecodedOp;
-        // Written slots also drop any declined/explored mark: the slot's
-        // contents changed, so yesterday's verdict is void.
-        page.sb_head[slot] = kSbUnexplored;
       }
     }
     if (index == last_page) {

@@ -21,7 +21,6 @@
 #include "taint.hpp"
 #include "vm.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <iterator>
 
@@ -121,561 +120,6 @@ RunResult Vm::run_fast(std::uint64_t cycle_budget) {
     }
   };
 
-  // ---- superblock tier (fast-sb) ------------------------------------
-  // Second dispatch level: when the MRU lookup lands on a live superblock
-  // and the remaining instruction/cycle headroom provably covers the whole
-  // block, its ops run in a tight loop with a single pc/counter sync at
-  // exit.  Cycle charges stay op-exact (`cyc` below is the running cycle
-  // value the store path reads); only the *accounting* of zero-stall
-  // same-line fetches is deferred and booked in bulk through
-  // fetch_account_trivial.  Disabled under taint: the op-at-a-time path
-  // already interleaves the taint transfer function correctly, and times
-  // are bit-identical either way.
-  // Randomised-placement instruction caches decline the fetch-batching
-  // probe on every access, so the tier would pay block-entry overhead for
-  // zero batched fetches — measurably slower than the plain fast loop.
-  // Entry is declined wholesale there; results are bit-identical either way.
-  const bool sb_enabled = cfg.core == VmCore::kFastSb && taint == nullptr &&
-                          hier.il1().config().placement ==
-                              mem::Placement::kModulo;
-  const std::uint32_t il1_line_bytes = hier.il1().config().line_bytes;
-  // Bulk fetch accounting assumes an ITLB page spans whole IL1 lines, so a
-  // same-line fetch run cannot cross a page behind the memo's back.
-  // (Randomised-placement caches decline the triviality probe per access,
-  // so every fetch goes through fetch_fast there regardless.)
-  const bool sb_batching = hier.itlb().config().page_bytes >= il1_line_bytes;
-  const mem::LatencyConfig& lat = hier.latency();
-  // Conservative upper bound on the cycles any single fused op can charge.
-  // Entering a block only while `count * bound` cycles of budget headroom
-  // remain guarantees the op-at-a-time core could not have stopped on the
-  // cycle budget mid-block, so deferring the budget check to the block
-  // boundary is exact.
-  const std::uint64_t sb_worst_per_op =
-      2 * (1ULL + cfg.load_use_cycles + 2ULL * lat.tlb_walk + 4ULL * lat.bus +
-           2ULL * lat.l2_hit + 2ULL * lat.dram_read + 2ULL * lat.dram_write +
-           lat.store_drain + std::max(cfg.mul_cycles, cfg.div_cycles) +
-           cfg.fp_sqrt_cycles + cfg.fp_jitter_max);
-
-#define SB_CASE(name) case static_cast<std::uint8_t>(Opcode::name):
-
-  auto exec_superblock = [&](const Superblock& sb, const DecodedOp* page_ops,
-                             const std::uint32_t entry_pc) {
-    const std::uint32_t count = sb.count;
-    const SuperblockOp* plan = sb.plan.data();
-    const DecodedOp* ops = page_ops + sb.begin;
-    std::uint64_t cyc = cycles_;
-    std::uint64_t fpu = 0;
-    std::uint64_t pending = 0; // deferred trivial fetches on line_addr's line
-    std::uint32_t line_addr = entry_pc;
-    std::uint32_t line_base = 0;
-    bool force_real = true; // next fetch must go through fetch_fast
-    bool stored = false;
-    std::uint32_t st_addr = 0;
-    std::uint32_t st_len = 0;
-    std::uint32_t i = 0;
-    bool fetched = false; // op i has passed the fetch stage
-    auto flush_pending = [&] {
-      if (pending != 0) {
-        hier.fetch_account_trivial(line_addr, pending);
-        pending = 0;
-      }
-    };
-    auto sync = [&](std::uint32_t done) {
-      flush_pending();
-      cycles_ = cyc;
-      instructions_ += done;
-      ctr.instructions += done;
-      ctr.fpu_ops += fpu;
-      decode.count_superblock_entry(done);
-    };
-    try {
-      for (; i < count; ++i) {
-        const DecodedOp& o = ops[i];
-        const SuperblockOp& p = plan[i];
-        const std::uint32_t fpc = entry_pc + 4 * i;
-        // Keep pc_ exact per op: every fault path below (explicit faults,
-        // the freg range checks, coherence errors) formats it.
-        pc_ = fpc;
-        fetched = false;
-        if (p.new_line || force_real) {
-          flush_pending();
-          cyc += p.pre_cycles + hier.fetch_fast(fpc);
-          line_addr = fpc;
-          if (sb_batching) {
-            line_base = fpc & ~(il1_line_bytes - 1);
-            force_real = !hier.fetch_line_is_trivial(fpc);
-          }
-        } else {
-          cyc += p.pre_cycles;
-          ++pending;
-        }
-        fetched = true;
-        if (o.handler >= static_cast<std::uint8_t>(Opcode::kFaddd) &&
-            o.handler <= static_cast<std::uint8_t>(Opcode::kFabsd)) {
-          ++fpu;
-        }
-        if (mix != nullptr) {
-          ++mix[o.handler];
-        }
-        switch (o.handler) {
-          SB_CASE(kNop) { break; }
-
-          // ---- integer ALU, register form ----
-          SB_CASE(kAdd) {
-            wr(o.rd, rv(o.rs1) + rv(o.rs2));
-            break;
-          }
-          SB_CASE(kSub) {
-            wr(o.rd, rv(o.rs1) - rv(o.rs2));
-            break;
-          }
-          SB_CASE(kAnd) {
-            wr(o.rd, rv(o.rs1) & rv(o.rs2));
-            break;
-          }
-          SB_CASE(kOr) {
-            wr(o.rd, rv(o.rs1) | rv(o.rs2));
-            break;
-          }
-          SB_CASE(kXor) {
-            wr(o.rd, rv(o.rs1) ^ rv(o.rs2));
-            break;
-          }
-          SB_CASE(kSll) {
-            wr(o.rd, rv(o.rs1) << (rv(o.rs2) & 31));
-            break;
-          }
-          SB_CASE(kSrl) {
-            wr(o.rd, rv(o.rs1) >> (rv(o.rs2) & 31));
-            break;
-          }
-          SB_CASE(kSra) {
-            wr(o.rd, static_cast<std::uint32_t>(
-                         static_cast<std::int32_t>(rv(o.rs1)) >>
-                         (rv(o.rs2) & 31)));
-            break;
-          }
-          SB_CASE(kMul) {
-            // Charge folded into pre_cycles (the only extra latency with no
-            // fault check in front of it).
-            wr(o.rd, static_cast<std::uint32_t>(
-                         static_cast<std::int64_t>(
-                             static_cast<std::int32_t>(rv(o.rs1))) *
-                         static_cast<std::int32_t>(rv(o.rs2))));
-            break;
-          }
-          SB_CASE(kDiv) {
-            const auto divisor = static_cast<std::int32_t>(rv(o.rs2));
-            if (divisor == 0) {
-              fault("integer division by zero");
-            }
-            const auto dividend = static_cast<std::int32_t>(rv(o.rs1));
-            const std::int64_t q = static_cast<std::int64_t>(dividend) / divisor;
-            wr(o.rd, static_cast<std::uint32_t>(q));
-            cyc += cfg.div_cycles - 1;
-            break;
-          }
-          SB_CASE(kAddcc) {
-            const std::uint32_t a = rv(o.rs1);
-            const std::uint32_t b = rv(o.rs2);
-            const std::uint32_t r = a + b;
-            wr(o.rd, r);
-            set_icc_add(a, b, r);
-            break;
-          }
-          SB_CASE(kSubcc) {
-            const std::uint32_t a = rv(o.rs1);
-            const std::uint32_t b = rv(o.rs2);
-            const std::uint32_t r = a - b;
-            wr(o.rd, r);
-            set_icc_sub(a, b, r);
-            break;
-          }
-          SB_CASE(kOrcc) {
-            const std::uint32_t r = rv(o.rs1) | rv(o.rs2);
-            wr(o.rd, r);
-            set_icc_logic(r);
-            break;
-          }
-
-          // ---- integer ALU, immediate form ----
-          SB_CASE(kAddi) {
-            wr(o.rd, rv(o.rs1) + static_cast<std::uint32_t>(o.imm));
-            break;
-          }
-          SB_CASE(kSubi) {
-            wr(o.rd, rv(o.rs1) - static_cast<std::uint32_t>(o.imm));
-            break;
-          }
-          SB_CASE(kAndi) {
-            wr(o.rd, rv(o.rs1) & static_cast<std::uint32_t>(o.imm));
-            break;
-          }
-          SB_CASE(kOri) {
-            wr(o.rd, rv(o.rs1) | static_cast<std::uint32_t>(o.imm));
-            break;
-          }
-          SB_CASE(kXori) {
-            wr(o.rd, rv(o.rs1) ^ static_cast<std::uint32_t>(o.imm));
-            break;
-          }
-          SB_CASE(kSlli) {
-            wr(o.rd, rv(o.rs1) << (static_cast<std::uint32_t>(o.imm) & 31));
-            break;
-          }
-          SB_CASE(kSrli) {
-            wr(o.rd, rv(o.rs1) >> (static_cast<std::uint32_t>(o.imm) & 31));
-            break;
-          }
-          SB_CASE(kSrai) {
-            wr(o.rd, static_cast<std::uint32_t>(
-                         static_cast<std::int32_t>(rv(o.rs1)) >>
-                         (static_cast<std::uint32_t>(o.imm) & 31)));
-            break;
-          }
-          SB_CASE(kMuli) {
-            wr(o.rd, static_cast<std::uint32_t>(
-                         static_cast<std::int64_t>(
-                             static_cast<std::int32_t>(rv(o.rs1))) *
-                         o.imm));
-            break;
-          }
-          SB_CASE(kDivi) {
-            if (o.imm == 0) {
-              fault("integer division by zero");
-            }
-            const std::int64_t q =
-                static_cast<std::int64_t>(static_cast<std::int32_t>(rv(o.rs1))) /
-                o.imm;
-            wr(o.rd, static_cast<std::uint32_t>(q));
-            cyc += cfg.div_cycles - 1;
-            break;
-          }
-          SB_CASE(kAddcci) {
-            const std::uint32_t a = rv(o.rs1);
-            const std::uint32_t b = static_cast<std::uint32_t>(o.imm);
-            const std::uint32_t r = a + b;
-            wr(o.rd, r);
-            set_icc_add(a, b, r);
-            break;
-          }
-          SB_CASE(kSubcci) {
-            const std::uint32_t a = rv(o.rs1);
-            const std::uint32_t b = static_cast<std::uint32_t>(o.imm);
-            const std::uint32_t r = a - b;
-            wr(o.rd, r);
-            set_icc_sub(a, b, r);
-            break;
-          }
-          SB_CASE(kOrlo) {
-            wr(o.rd,
-               rv(o.rs1) | (static_cast<std::uint32_t>(o.imm) & 0x1fffU));
-            break;
-          }
-          SB_CASE(kSethi) {
-            wr(o.rd, static_cast<std::uint32_t>(o.imm) << 13);
-            break;
-          }
-
-          // ---- memory ----
-          SB_CASE(kLd) {
-            const std::uint32_t addr =
-                rv(o.rs1) + static_cast<std::uint32_t>(o.imm);
-            if (addr % 4 != 0) {
-              fault("misaligned word load");
-            }
-            cyc += cfg.load_use_cycles + hier.load_fast(addr);
-            wr(o.rd, memory_.read_u32(addr));
-            break;
-          }
-          SB_CASE(kLdx) {
-            const std::uint32_t addr = rv(o.rs1) + rv(o.rs2);
-            if (addr % 4 != 0) {
-              fault("misaligned word load");
-            }
-            cyc += cfg.load_use_cycles + hier.load_fast(addr);
-            wr(o.rd, memory_.read_u32(addr));
-            break;
-          }
-          SB_CASE(kSt) {
-            const std::uint32_t addr =
-                rv(o.rs1) + static_cast<std::uint32_t>(o.imm);
-            if (addr % 4 != 0) {
-              fault("misaligned word store");
-            }
-            memory_.write_u32(addr, rv(o.rd));
-            cyc += hier.store_fast(addr, cyc, 4);
-            stored = true;
-            st_addr = addr;
-            st_len = 4;
-            break;
-          }
-          SB_CASE(kStx) {
-            const std::uint32_t addr = rv(o.rs1) + rv(o.rs2);
-            if (addr % 4 != 0) {
-              fault("misaligned word store");
-            }
-            memory_.write_u32(addr, rv(o.rd));
-            cyc += hier.store_fast(addr, cyc, 4);
-            stored = true;
-            st_addr = addr;
-            st_len = 4;
-            break;
-          }
-          SB_CASE(kLdb) {
-            const std::uint32_t addr =
-                rv(o.rs1) + static_cast<std::uint32_t>(o.imm);
-            cyc += cfg.load_use_cycles + hier.load_fast(addr);
-            wr(o.rd, memory_.read_u8(addr));
-            break;
-          }
-          SB_CASE(kLdbx) {
-            const std::uint32_t addr = rv(o.rs1) + rv(o.rs2);
-            cyc += cfg.load_use_cycles + hier.load_fast(addr);
-            wr(o.rd, memory_.read_u8(addr));
-            break;
-          }
-          SB_CASE(kStb) {
-            const std::uint32_t addr =
-                rv(o.rs1) + static_cast<std::uint32_t>(o.imm);
-            memory_.write_u8(addr, static_cast<std::uint8_t>(rv(o.rd)));
-            cyc += hier.store_fast(addr, cyc, 1);
-            stored = true;
-            st_addr = addr;
-            st_len = 1;
-            break;
-          }
-          SB_CASE(kStbx) {
-            const std::uint32_t addr = rv(o.rs1) + rv(o.rs2);
-            memory_.write_u8(addr, static_cast<std::uint8_t>(rv(o.rd)));
-            cyc += hier.store_fast(addr, cyc, 1);
-            stored = true;
-            st_addr = addr;
-            st_len = 1;
-            break;
-          }
-          SB_CASE(kLdd) {
-            const std::uint32_t addr =
-                rv(o.rs1) + static_cast<std::uint32_t>(o.imm);
-            if (addr % 8 != 0) {
-              fault("misaligned doubleword load");
-            }
-            if (o.rd % 2 != 0) {
-              fault("ldd destination must be an even register");
-            }
-            cyc += cfg.load_use_cycles + hier.load_fast(addr);
-            wr(o.rd, memory_.read_u32(addr));
-            wr(static_cast<std::uint8_t>(o.rd + 1), memory_.read_u32(addr + 4));
-            break;
-          }
-          SB_CASE(kLddx) {
-            const std::uint32_t addr = rv(o.rs1) + rv(o.rs2);
-            if (addr % 8 != 0) {
-              fault("misaligned doubleword load");
-            }
-            if (o.rd % 2 != 0) {
-              fault("ldd destination must be an even register");
-            }
-            cyc += cfg.load_use_cycles + hier.load_fast(addr);
-            wr(o.rd, memory_.read_u32(addr));
-            wr(static_cast<std::uint8_t>(o.rd + 1), memory_.read_u32(addr + 4));
-            break;
-          }
-          SB_CASE(kStd) {
-            const std::uint32_t addr =
-                rv(o.rs1) + static_cast<std::uint32_t>(o.imm);
-            if (addr % 8 != 0) {
-              fault("misaligned doubleword store");
-            }
-            if (o.rd % 2 != 0) {
-              fault("std source must be an even register");
-            }
-            memory_.write_u32(addr, rv(o.rd));
-            memory_.write_u32(addr + 4, rv(static_cast<std::uint8_t>(o.rd + 1)));
-            cyc += hier.store_fast(addr, cyc, 8);
-            stored = true;
-            st_addr = addr;
-            st_len = 8;
-            break;
-          }
-          SB_CASE(kStdx) {
-            const std::uint32_t addr = rv(o.rs1) + rv(o.rs2);
-            if (addr % 8 != 0) {
-              fault("misaligned doubleword store");
-            }
-            if (o.rd % 2 != 0) {
-              fault("std source must be an even register");
-            }
-            memory_.write_u32(addr, rv(o.rd));
-            memory_.write_u32(addr + 4, rv(static_cast<std::uint8_t>(o.rd + 1)));
-            cyc += hier.store_fast(addr, cyc, 8);
-            stored = true;
-            st_addr = addr;
-            st_len = 8;
-            break;
-          }
-          SB_CASE(kLdf) {
-            const std::uint32_t addr =
-                rv(o.rs1) + static_cast<std::uint32_t>(o.imm);
-            if (addr % 8 != 0) {
-              fault("misaligned fp load");
-            }
-            cyc += cfg.load_use_cycles + hier.load_fast(addr);
-            set_freg(o.rd, memory_.read_f64(addr));
-            break;
-          }
-          SB_CASE(kLdfx) {
-            const std::uint32_t addr = rv(o.rs1) + rv(o.rs2);
-            if (addr % 8 != 0) {
-              fault("misaligned fp load");
-            }
-            cyc += cfg.load_use_cycles + hier.load_fast(addr);
-            set_freg(o.rd, memory_.read_f64(addr));
-            break;
-          }
-          SB_CASE(kStf) {
-            const std::uint32_t addr =
-                rv(o.rs1) + static_cast<std::uint32_t>(o.imm);
-            if (addr % 8 != 0) {
-              fault("misaligned fp store");
-            }
-            memory_.write_f64(addr, freg(o.rd));
-            cyc += hier.store_fast(addr, cyc, 8);
-            stored = true;
-            st_addr = addr;
-            st_len = 8;
-            break;
-          }
-          SB_CASE(kStfx) {
-            const std::uint32_t addr = rv(o.rs1) + rv(o.rs2);
-            if (addr % 8 != 0) {
-              fault("misaligned fp store");
-            }
-            memory_.write_f64(addr, freg(o.rd));
-            cyc += hier.store_fast(addr, cyc, 8);
-            stored = true;
-            st_addr = addr;
-            st_len = 8;
-            break;
-          }
-
-          // ---- floating point ----
-          SB_CASE(kFaddd) {
-            const double a = freg(o.rs1);
-            const double b = freg(o.rs2);
-            cyc += cfg.fp_add_cycles - 1 +
-                   fp_extra_cycles(Opcode::kFaddd, a, b);
-            set_freg(o.rd, a + b);
-            break;
-          }
-          SB_CASE(kFsubd) {
-            const double a = freg(o.rs1);
-            const double b = freg(o.rs2);
-            cyc += cfg.fp_add_cycles - 1 +
-                   fp_extra_cycles(Opcode::kFsubd, a, b);
-            set_freg(o.rd, a - b);
-            break;
-          }
-          SB_CASE(kFmuld) {
-            const double a = freg(o.rs1);
-            const double b = freg(o.rs2);
-            cyc += cfg.fp_mul_cycles - 1 +
-                   fp_extra_cycles(Opcode::kFmuld, a, b);
-            set_freg(o.rd, a * b);
-            break;
-          }
-          SB_CASE(kFdivd) {
-            const double a = freg(o.rs1);
-            const double b = freg(o.rs2);
-            cyc += cfg.fp_div_cycles - 1 +
-                   fp_extra_cycles(Opcode::kFdivd, a, b);
-            set_freg(o.rd, a / b);
-            break;
-          }
-          SB_CASE(kFsqrtd) {
-            const double a = freg(o.rs1);
-            cyc += cfg.fp_sqrt_cycles - 1 +
-                   fp_extra_cycles(Opcode::kFsqrtd, a, 1.0);
-            set_freg(o.rd, std::sqrt(a));
-            break;
-          }
-          SB_CASE(kFcmpd) {
-            const double a = freg(o.rs1);
-            const double b = freg(o.rs2);
-            cyc += cfg.fp_add_cycles - 1;
-            if (std::isnan(a) || std::isnan(b)) {
-              fcc_ = FpCondition::kUnordered;
-            } else if (a < b) {
-              fcc_ = FpCondition::kLess;
-            } else if (a > b) {
-              fcc_ = FpCondition::kGreater;
-            } else {
-              fcc_ = FpCondition::kEqual;
-            }
-            break;
-          }
-          SB_CASE(kFitod) {
-            cyc += cfg.fp_add_cycles - 1;
-            set_freg(o.rd,
-                     static_cast<double>(static_cast<std::int32_t>(rv(o.rs1))));
-            break;
-          }
-          SB_CASE(kFdtoi) {
-            cyc += cfg.fp_add_cycles - 1;
-            const double value = freg(o.rs1);
-            wr(o.rd,
-               static_cast<std::uint32_t>(static_cast<std::int32_t>(value)));
-            break;
-          }
-          SB_CASE(kFmovd) {
-            set_freg(o.rd, freg(o.rs1));
-            break;
-          }
-          SB_CASE(kFnegd) {
-            set_freg(o.rd, -freg(o.rs1));
-            break;
-          }
-          SB_CASE(kFabsd) {
-            set_freg(o.rd, std::fabs(freg(o.rs1)));
-            break;
-          }
-
-        default:
-          // Unreachable: formation only fuses the handlers above and any
-          // rewrite kills the block before its ops can change.
-          fault("invalid opcode");
-        }
-        if (stored) {
-          stored = false;
-          if (!sb.live) [[unlikely]] {
-            // The store rewrote code under this block and the write
-            // listener killed it.  Ops 0..i executed exactly; sync and
-            // resume op-at-a-time dispatch at the next pc.
-            sync(i + 1);
-            pc_ = fpc + 4;
-            return;
-          }
-          if (sb_batching && st_addr < line_base + il1_line_bytes &&
-              st_addr + st_len > line_base) {
-            // The store staled the line currently proven trivial; fall
-            // back to real fetch probes until a fresh proof.
-            force_real = true;
-          }
-        }
-      }
-      sync(count);
-      pc_ = entry_pc + 4 * count;
-    } catch (...) {
-      // An op faulted exactly as it would op-at-a-time (pc_ is already the
-      // faulting pc).  A fetch-path throw (coherence error) has not
-      // retired its instruction; anything after the fetch stage has.
-      sync(i + (fetched ? 1u : 0u));
-      throw;
-    }
-  };
-
-#undef SB_CASE
-
   const DecodedOp* op = nullptr;
 
 #if PROXIMA_VM_COMPUTED_GOTO
@@ -709,19 +153,6 @@ next_instruction:
   }
   if (cycle_budget != 0 && cycles_ >= cycle_budget) [[unlikely]] {
     return RunResult{RunResult::Stop::kCycleBudget, instructions_, cycles_};
-  }
-  // Superblock dispatch level: enter a fused block only when the remaining
-  // instruction count and (conservatively bounded) cycle headroom prove the
-  // op-at-a-time core would have executed every op of the block too.
-  if (sb_enabled) {
-    const DecodedOp* sb_ops = nullptr;
-    const Superblock* sb = decode.superblock_at(pc_, &sb_ops);
-    if (sb != nullptr && instructions_ + sb->count <= cfg.max_instructions &&
-        (cycle_budget == 0 ||
-         cycles_ + sb_worst_per_op * sb->count < cycle_budget)) {
-      exec_superblock(*sb, sb_ops, pc_);
-      goto next_instruction;
-    }
   }
   // Fetch: timing through the inline hit path, the op out of the decode
   // cache (no guest-memory read, no format switch on the hot path).

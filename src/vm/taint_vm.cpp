@@ -36,7 +36,7 @@ void Vm::taint_execute(const Instruction& instr) {
   TaintState& t = *taint_;
   const auto tr = [&](std::uint8_t i) { return t.reg(i); };
   const auto wr = [&](std::uint8_t i, bool v) { t.set_reg(i, v); };
-  // Operand values through the window map, like the fast cores (%g0's
+  // Operand values through the window map, like the fast core (%g0's
   // slot always holds zero).
   const auto rs1v = [&] { return regs_[window_map_[instr.rs1]]; };
   const auto rs2v = [&] { return regs_[window_map_[instr.rs2]]; };

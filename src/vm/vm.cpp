@@ -26,10 +26,6 @@ Vm::Vm(mem::GuestMemory& memory, mem::MemoryHierarchy& hierarchy,
   build_window_map(window_map_, cwp_, config_.nwindows);
   if (config_.core != VmCore::kReference) {
     decode_ = std::make_unique<DecodeCache>();
-    decode_->set_superblock_costs(DecodeCache::SuperblockCosts{
-        .mul_cycles = config_.mul_cycles,
-        .fetch_line_words = hierarchy_.il1().config().line_bytes / 4,
-    });
     memory_.add_write_listener(decode_.get());
   }
   if (config_.taint) {
@@ -75,7 +71,7 @@ void Vm::reset(std::uint32_t entry_pc, std::uint32_t stack_top) {
 
 std::uint32_t& Vm::visible(std::uint8_t index) {
   // The reference core's own window arithmetic, deliberately independent of
-  // window_map_: the differential suite checks the fast cores' map against
+  // window_map_: the differential suite checks the fast core's map against
   // it.
   const std::uint32_t n = config_.nwindows;
   std::uint32_t* const windowed = regs_.data() + kGlobalSlots;

@@ -42,29 +42,23 @@ public:
   explicit VmError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Execution-core selection.  All cores implement the identical
+/// Execution-core selection.  Both cores implement the identical
 /// architecture and timing model and are kept bit-identical — cycles,
 /// instruction counts and memory-event counters — by the differential
 /// test suite (tests/vm_differential_test.cpp).
 enum class VmCore : std::uint8_t {
   /// Predecoded fast-dispatch core (src/vm/fast_vm.cpp): a one-time
   /// decode pass into a flat DecodedOp cache, executed by a computed-goto
-  /// loop with inlined L1/TLB hit paths.
+  /// loop with inlined L1/TLB hit paths.  The default everywhere.
   kFast,
   /// The original fetch-decode-execute switch interpreter
-  /// (src/vm/reference_vm.cpp): the oracle the fast cores are
+  /// (src/vm/reference_vm.cpp): the oracle the fast core is
   /// differentially tested against.
   kReference,
-  /// The fast core plus the superblock tier (second dispatch level):
-  /// maximal straight-line runs of DecodedOps fused into Superblock
-  /// records executed with a single pc/counter sync at exit and bulk
-  /// fetch-timing accounting.  The default everywhere.  Falls back to
-  /// op-at-a-time dispatch when taint tracking is on.
-  kFastSb,
 };
 
 struct VmConfig {
-  VmCore core = VmCore::kFastSb;
+  VmCore core = VmCore::kFast;
   std::uint32_t nwindows = 8; // LEON3: 8 register windows
   std::uint32_t branch_taken_penalty = 1;
   std::uint32_t load_use_cycles = 1; // extra M-stage occupancy for loads
@@ -262,7 +256,7 @@ private:
   RelocTrapSink reloc_trap_sink_;
   SinkStoreSink sink_store_sink_;
   std::uint64_t* mix_ = nullptr;        // per-opcode counters, off by default
-  std::unique_ptr<DecodeCache> decode_; // fast cores only
+  std::unique_ptr<DecodeCache> decode_; // fast core only
   std::unique_ptr<TaintState> taint_;   // only when config.taint is set
 };
 

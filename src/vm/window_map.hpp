@@ -3,7 +3,7 @@
 // Vm and TaintState lay their integer register files out identically, as
 // [8 globals | nwindows x 16 windowed], where window w owns slots
 // 8 + 16w .. 8 + 16w + 15 (its outs, then its locals) and its ins are the
-// outs of window w + 1 (mod nwindows).  The fast cores and the taint
+// outs of window w + 1 (mod nwindows).  The fast core and the taint
 // shadow index that layout through a WindowMap rebuilt whenever the
 // current window pointer changes, so a register access is one table load
 // instead of the modular window arithmetic.  The reference core keeps

@@ -300,16 +300,16 @@ TEST(CliRun, SeedAndVmCoreFlagsReachTheConfig) {
   EXPECT_EQ(field_after(result.out, "input"), "7");
   EXPECT_NE(field_after(result.out, "layout"), "7")
       << "layout stream must get a mixed companion seed";
-  // The default core is the superblock tier; all three are bit-identical,
+  // The default core is the predecoded fast core; both are bit-identical,
   // so the --vm-core choice shows up in the header and nowhere else.
   const CliResult default_core =
       invoke({"run", "--scenario", "control/operation-cots", "--runs", "8",
               "--seed", "7", "--format", "json"});
   ASSERT_EQ(default_core.code, 0) << default_core.err;
-  EXPECT_EQ(field_after(default_core.out, "vm_core"), "\"fast-sb\"");
+  EXPECT_EQ(field_after(default_core.out, "vm_core"), "\"fast\"");
   EXPECT_EQ(field_after(default_core.out, "digest"),
             field_after(result.out, "digest"))
-      << "fast-sb and reference must produce the same times digest";
+      << "fast and reference must produce the same times digest";
 }
 
 TEST(CliErrors, UnknownVmCoreSuggestsClosestMatch) {
@@ -319,15 +319,24 @@ TEST(CliErrors, UnknownVmCoreSuggestsClosestMatch) {
       invoke({"run", "--scenario", "control/operation-cots", "--runs", "2",
               "--vm-core", "fsat"});
   EXPECT_EQ(result.code, 2);
-  EXPECT_NE(result.err.find("expected fast|fast-sb|reference"),
-            std::string::npos)
+  EXPECT_NE(result.err.find("expected fast|reference"), std::string::npos)
       << result.err;
   EXPECT_NE(result.err.find("did you mean: fast?"), std::string::npos)
       << result.err;
-  const CliResult sb = invoke({"run", "--scenario", "control/operation-cots",
-                               "--runs", "2", "--vm-core", "fastsb"});
-  EXPECT_EQ(sb.code, 2);
-  EXPECT_NE(sb.err.find("fast-sb"), std::string::npos) << sb.err;
+  const CliResult typo = invoke({"run", "--scenario", "control/operation-cots",
+                                 "--runs", "2", "--vm-core", "fastsb"});
+  EXPECT_EQ(typo.code, 2);
+  EXPECT_NE(typo.err.find("did you mean: fast?"), std::string::npos)
+      << typo.err;
+  // The removed superblock tier's name is an unknown core like any other.
+  const CliResult removed =
+      invoke({"run", "--scenario", "control/operation-cots", "--runs", "2",
+              "--vm-core", "fast-sb"});
+  EXPECT_EQ(removed.code, 2);
+  EXPECT_NE(removed.err.find("--vm-core: expected fast|reference, got "
+                             "'fast-sb'"),
+            std::string::npos)
+      << removed.err;
 }
 
 TEST(CliErrors, UnknownRandomisationSuggestsClosestMatch) {
@@ -629,6 +638,27 @@ TEST(CliDiff, AgainstJsonFormatAndUsageErrors) {
             2);
   EXPECT_EQ(invoke({"diff", "--against", "control/operation-cots"}).code, 2)
       << "--against still needs the candidate path";
+}
+
+TEST(CliDiff, AgainstRejectsACandidateWithAnUnknownCore) {
+  // --against mirrors the candidate's vm_core through the same core table
+  // as --vm-core.  A document naming a core this build does not have —
+  // such as the removed "fast-sb" tier — is a usage error, not a silent
+  // fallback to the default core.
+  std::string report = run_json("control/operation-cots", "8", "5");
+  const std::string recorded = "\"vm_core\": \"fast\"";
+  const std::size_t at = report.find(recorded);
+  ASSERT_NE(at, std::string::npos) << report;
+  report.replace(at, recorded.size(), "\"vm_core\": \"fast-sb\"");
+  const TempReport candidate("against_core", report);
+  const CliResult result = invoke(
+      {"diff", candidate.path().c_str(), "--against",
+       "control/operation-cots"});
+  EXPECT_EQ(result.code, 2) << result.out;
+  EXPECT_NE(result.err.find("diff --against: candidate vm_core: expected "
+                            "fast|reference, got 'fast-sb'"),
+            std::string::npos)
+      << result.err;
 }
 
 TEST(CliDiff, ComparesPerPartitionRowsAndMeasuredTarget) {

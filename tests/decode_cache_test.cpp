@@ -1,8 +1,7 @@
 // Unit tests for the DecodeCache's two invalidation shapes — the per-slot
-// write-listener walk (which must also kill covering superblocks) and the
-// kMaxPages wholesale drop (which must reset the MRU page memo and every
-// superblock, never leaving a dangling pointer) — plus the superblock
-// formation rules the fast-sb dispatch tier relies on.
+// write-listener walk (which must reset exactly the written slots, also
+// for a write that wraps past 0xFFFFFFFF) and the kMaxPages wholesale drop
+// (which must reset the MRU page memo, never leaving a dangling pointer).
 #include "isa/instruction.hpp"
 #include "mem/guest_memory.hpp"
 #include "vm/decode.hpp"
@@ -74,55 +73,14 @@ TEST(DecodeCache, PageCapWholesaleDropResetsMemoAndRedecodes) {
   EXPECT_EQ(cache.resident_pages(), 2u);
 }
 
-// The wholesale drop also retires live superblocks (counted into
-// superblocks_invalidated) and the next query re-forms them from the
-// re-decoded slots.
-TEST(DecodeCache, PageCapDropKillsAndReformsSuperblocks) {
+// A write resets exactly the decoded slots it covers: they re-decode (to
+// the new words) on the next lookup, their neighbours keep their op
+// without a re-decode, and invalidated_slots counts only slots that were
+// decoded when the write landed.
+TEST(DecodeCache, WriteInvalidationResetsExactlyTheCoveredSlots) {
   mem::GuestMemory memory;
   DecodeCache cache;
-  // Page 0: a fusable run of 8 adds terminated by a halt.
-  for (std::uint32_t slot = 0; slot < 8; ++slot) {
-    memory.write_u32(slot * 4, add_word());
-  }
-  memory.write_u32(8 * 4, halt_word());
-  for (std::uint32_t slot = 0; slot <= 8; ++slot) {
-    cache.at(slot * 4, memory); // formation never decodes; warm the run
-  }
-
-  const vm::DecodedOp* ops = nullptr;
-  const vm::Superblock* block = cache.superblock_at(0, &ops);
-  ASSERT_NE(block, nullptr);
-  EXPECT_TRUE(block->live);
-  EXPECT_EQ(block->begin, 0u);
-  EXPECT_EQ(block->count, 8u);
-  ASSERT_NE(ops, nullptr);
-  EXPECT_EQ(ops[0].handler, kAddHandler);
-  EXPECT_EQ(cache.stats().superblocks_formed, 1u);
-
-  // Trip the page cap from other pages.
-  for (std::size_t page = 1; page <= DecodeCache::kMaxPages; ++page) {
-    memory.write_u32(page_pc(page), add_word());
-    cache.at(page_pc(page), memory);
-  }
-  EXPECT_EQ(cache.stats().full_invalidations, 1u);
-  EXPECT_EQ(cache.stats().superblocks_invalidated, 1u);
-
-  // Re-decode the run; the block re-forms identically.
-  for (std::uint32_t slot = 0; slot <= 8; ++slot) {
-    cache.at(slot * 4, memory);
-  }
-  block = cache.superblock_at(0, &ops);
-  ASSERT_NE(block, nullptr);
-  EXPECT_EQ(block->count, 8u);
-  EXPECT_EQ(cache.stats().superblocks_formed, 2u);
-}
-
-// The write-listener walk must kill a live superblock covering a written
-// slot IN PLACE (live flips false, storage unmoved) — that is what lets a
-// mid-block executor poll for the kill and bail exactly.
-TEST(DecodeCache, WriteInvalidationKillsCoveringSuperblockInPlace) {
-  mem::GuestMemory memory;
-  DecodeCache cache;
+  memory.add_write_listener(&cache);
   for (std::uint32_t slot = 0; slot < 8; ++slot) {
     memory.write_u32(slot * 4, add_word());
   }
@@ -130,66 +88,61 @@ TEST(DecodeCache, WriteInvalidationKillsCoveringSuperblockInPlace) {
   for (std::uint32_t slot = 0; slot <= 8; ++slot) {
     cache.at(slot * 4, memory);
   }
-  const vm::DecodedOp* ops = nullptr;
-  const vm::Superblock* block = cache.superblock_at(0, &ops);
-  ASSERT_NE(block, nullptr);
-  EXPECT_EQ(block->count, 8u);
-
-  // Overwrite the middle of the block, as a self-modifying store would.
-  memory.write_u32(4 * 4, halt_word());
-  cache.on_memory_written(4 * 4, 4);
-  EXPECT_FALSE(block->live) << "kill must flip the existing record";
-  EXPECT_EQ(cache.stats().superblocks_invalidated, 1u);
-  EXPECT_EQ(cache.stats().invalidated_slots, 1u);
-
-  // The anchor slot was unhooked, and the re-formed block (after the
-  // written slot is re-decoded) stops at the new halt.
-  for (std::uint32_t slot = 0; slot <= 8; ++slot) {
-    cache.at(slot * 4, memory);
-  }
-  const vm::Superblock* reformed = cache.superblock_at(0, &ops);
-  ASSERT_NE(reformed, nullptr);
-  EXPECT_TRUE(reformed->live);
-  EXPECT_EQ(reformed->count, 4u) << "run now ends at the patched halt";
-}
-
-// Runs shorter than kMinSuperblockOps are declined, and a run cut short by
-// a not-yet-decoded slot stays undecided (formation never decodes, so the
-// decode counter remains core-independent).
-TEST(DecodeCache, FormationDeclinesShortRunsAndDefersUndecodedCuts) {
-  mem::GuestMemory memory;
-  DecodeCache cache;
-  // Slot 0-1: adds, slot 2: halt — a 2-op run, below kMinSuperblockOps.
-  memory.write_u32(0, add_word());
-  memory.write_u32(4, add_word());
-  memory.write_u32(8, halt_word());
-  cache.at(0, memory);
-  cache.at(4, memory);
-  cache.at(8, memory);
-  const vm::DecodedOp* ops = nullptr;
-  EXPECT_EQ(cache.superblock_at(0, &ops), nullptr);
-  EXPECT_EQ(cache.stats().superblocks_formed, 0u);
-
-  // Slot 16.. : two decoded adds followed by an UNDECODED slot — the
-  // verdict must wait (could still grow past the minimum once decoded).
-  memory.write_u32(16 * 4, add_word());
-  memory.write_u32(17 * 4, add_word());
-  memory.write_u32(18 * 4, add_word());
-  memory.write_u32(19 * 4, add_word());
-  memory.write_u32(20 * 4, halt_word());
-  cache.at(16 * 4, memory);
-  cache.at(17 * 4, memory);
-  EXPECT_EQ(cache.superblock_at(16 * 4, &ops), nullptr);
+  const std::uint64_t events = cache.stats().write_invalidation_events;
   const std::uint64_t decodes = cache.stats().decodes;
-  // Decode the rest: the same query now succeeds with the full run.
-  cache.at(18 * 4, memory);
-  cache.at(19 * 4, memory);
-  cache.at(20 * 4, memory);
-  const vm::Superblock* block = cache.superblock_at(16 * 4, &ops);
-  ASSERT_NE(block, nullptr);
-  EXPECT_EQ(block->count, 4u);
-  EXPECT_EQ(cache.stats().decodes, decodes + 3)
-      << "superblock_at must never decode slots itself";
+  EXPECT_EQ(cache.stats().invalidated_slots, 0u);
+
+  // An unaligned word store straddling slots 3 and 4, as a byte-offset
+  // guest store would: both slots are covered.
+  memory.write_u32(3 * 4 + 2, 0);
+  EXPECT_EQ(cache.stats().write_invalidation_events, events + 1);
+  EXPECT_EQ(cache.stats().invalidated_slots, 2u);
+
+  // Neighbours on both sides keep their decoded add: no re-decode.
+  EXPECT_EQ(cache.at(2 * 4, memory).handler, kAddHandler);
+  EXPECT_EQ(cache.at(5 * 4, memory).handler, kAddHandler);
+  EXPECT_EQ(cache.stats().decodes, decodes);
+
+  // The covered slots re-decode the words now in memory.
+  for (const std::uint32_t slot : {3u, 4u}) {
+    DecodeCache fresh;
+    EXPECT_EQ(cache.at(slot * 4, memory).handler,
+              fresh.at(slot * 4, memory).handler)
+        << "slot " << slot;
+  }
+  EXPECT_EQ(cache.stats().decodes, decodes + 2);
+
+  // A write over slots nobody decoded resets nothing and counts nothing.
+  memory.write_u32(100 * 4, add_word());
+  EXPECT_EQ(cache.stats().write_invalidation_events, events + 2);
+  EXPECT_EQ(cache.stats().invalidated_slots, 2u);
+  memory.remove_write_listener(&cache);
+}
+
+// A word written at 0xFFFFFFFE wraps: its low half lands at address 0.
+// The invalidation walk wraps with it — from the last page straight to
+// page 0, resetting the last slot of the address space and the first.
+TEST(DecodeCache, WriteWrappingPastTheTopInvalidatesBothEnds) {
+  mem::GuestMemory memory;
+  DecodeCache cache;
+  memory.add_write_listener(&cache);
+  memory.write_u32(0xFFFFFFFC, add_word());
+  memory.write_u32(0, add_word());
+  EXPECT_EQ(cache.at(0xFFFFFFFC, memory).handler, kAddHandler);
+  EXPECT_EQ(cache.at(0, memory).handler, kAddHandler);
+  const std::uint64_t decodes = cache.stats().decodes;
+
+  memory.write_u32(0xFFFFFFFE, halt_word());
+  EXPECT_EQ(cache.stats().invalidated_slots, 2u);
+  EXPECT_EQ(cache.resident_pages(), 2u);
+
+  for (const std::uint32_t pc : {0xFFFFFFFCu, 0u}) {
+    DecodeCache fresh;
+    EXPECT_EQ(cache.at(pc, memory).handler, fresh.at(pc, memory).handler)
+        << "pc " << pc;
+  }
+  EXPECT_EQ(cache.stats().decodes, decodes + 2);
+  memory.remove_write_listener(&cache);
 }
 
 } // namespace

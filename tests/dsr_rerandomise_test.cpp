@@ -216,9 +216,7 @@ TEST_P(RelocationPathSweep, BatchedReseedIsBitIdenticalToPerWord) {
 
 INSTANTIATE_TEST_SUITE_P(
     CoresAndSchemes, RelocationPathSweep,
-    ::testing::Values(std::pair{vm::VmCore::kFastSb, false},
-                      std::pair{vm::VmCore::kFastSb, true},
-                      std::pair{vm::VmCore::kFast, false},
+    ::testing::Values(std::pair{vm::VmCore::kFast, false},
                       std::pair{vm::VmCore::kFast, true},
                       std::pair{vm::VmCore::kReference, false}));
 
@@ -270,11 +268,11 @@ TEST(BatchedReseed, CampaignCountersMatchPerWordPath) {
 
 TEST(BatchedReseed, PoolChunkReuseDoesNotShiftTheLayoutStream) {
   PassOptions pass_options;
-  DsrMachine recycled(vm::VmCore::kFastSb, pass_options, RuntimeOptions{});
+  DsrMachine recycled(vm::VmCore::kFast, pass_options, RuntimeOptions{});
   for (std::uint64_t round = 0; round < 12; ++round) {
     recycled.reseed(round);
     // Fresh machine: brand-new pool, no free-list history, same seed.
-    DsrMachine fresh(vm::VmCore::kFastSb, pass_options, RuntimeOptions{});
+    DsrMachine fresh(vm::VmCore::kFast, pass_options, RuntimeOptions{});
     fresh.reseed(round);
     EXPECT_EQ(recycled.layout(), fresh.layout()) << "round " << round;
   }

@@ -84,11 +84,10 @@ constexpr LockedDigest kLeakDefaultSeeds30[] = {
 };
 
 /// The remaining registry scenarios — the image/ family and the
-/// image-measured hypervisor pair — locked with the introduction of the
-/// superblock execution tier (ISSUE 9), completing digest coverage of the
-/// whole catalogue.  Captured under the new `fast-sb` default core; the
-/// three-core bit-identity contract (vm_differential_test) makes these
-/// equally the `fast` and `reference` digests.
+/// image-measured hypervisor pair — locked later, completing digest
+/// coverage of the whole catalogue.  The cores' bit-identity contract
+/// (vm_differential_test) makes these equally the `fast` and `reference`
+/// digests.
 constexpr LockedDigest kImageFamilyDefaultSeeds30[] = {
     {"hv/image+control", "0xeae6d549b6108787"},
     {"hv/image+control-dsr", "0xb23d5f5923688e88"},

@@ -1,10 +1,10 @@
-// Differential testing of the predecoded fast-dispatch core AND its
-// superblock tier against the reference switch interpreter — the
-// behaviour-equivalence discipline the randomisation literature demands of
-// any transformed/variant execution path, applied to our own VM rebuild.
+// Differential testing of the predecoded fast-dispatch core against the
+// reference switch interpreter — the behaviour-equivalence discipline the
+// randomisation literature demands of any transformed/variant execution
+// path, applied to our own VM rebuild.
 //
 // Every scenario-registry workload is executed once per core (reference,
-// fast, fast-sb), at multiple seeds, and the results must be
+// fast), at multiple seeds, and the results must be
 // *bit-identical*: UoA cycle counts, per-run instruction counts, and the
 // full mem::PerfCounters snapshot (cache/TLB misses, DRAM traffic, window
 // traps, coherence violations).  This covers all four randomisation modes
@@ -76,12 +76,9 @@ TEST(VmDifferential, EveryRegistryScenarioAtMultipleSeeds) {
       const std::string label =
           name + " @ seed " + std::to_string(input_seed);
       const CampaignResult fast = run_with_core(config, vm::VmCore::kFast);
-      const CampaignResult fast_sb =
-          run_with_core(config, vm::VmCore::kFastSb);
       const CampaignResult reference =
           run_with_core(config, vm::VmCore::kReference);
       expect_bit_identical(fast, reference, label + " [fast]");
-      expect_bit_identical(fast_sb, reference, label + " [fast-sb]");
     }
   }
 }
@@ -94,11 +91,9 @@ TEST(VmDifferential, LazyRelocationRewritesCodeMidRun) {
   exec::register_default_scenarios(registry);
   CampaignConfig config = registry.at("control/dsr-lazy").make_config(8);
   const CampaignResult fast = run_with_core(config, vm::VmCore::kFast);
-  const CampaignResult fast_sb = run_with_core(config, vm::VmCore::kFastSb);
   const CampaignResult reference =
       run_with_core(config, vm::VmCore::kReference);
   expect_bit_identical(fast, reference, "control/dsr-lazy x8 [fast]");
-  expect_bit_identical(fast_sb, reference, "control/dsr-lazy x8 [fast-sb]");
   // The scenario must really be running the lazy scheme for this test to
   // mean anything: the DSR pass emitted first-call stubs.
   EXPECT_GT(fast.pass_report.stubs_emitted, 0u)
@@ -120,20 +115,12 @@ TEST(VmDifferential, MetricRegistryAgreesAcrossCores) {
     CampaignConfig config = registry.at(name).make_config(4);
     config.collect_metrics = true;
     const CampaignResult fast = run_with_core(config, vm::VmCore::kFast);
-    const CampaignResult fast_sb = run_with_core(config, vm::VmCore::kFastSb);
     const CampaignResult reference =
         run_with_core(config, vm::VmCore::kReference);
     EXPECT_EQ(fast.metrics.counters, reference.metrics.counters) << name;
     EXPECT_EQ(fast.metrics.histograms, reference.metrics.histograms) << name;
     EXPECT_EQ(fast.metrics.series, reference.metrics.series) << name;
-    EXPECT_EQ(fast_sb.metrics.counters, reference.metrics.counters) << name;
-    EXPECT_EQ(fast_sb.metrics.histograms, reference.metrics.histograms)
-        << name;
-    EXPECT_EQ(fast_sb.metrics.series, reference.metrics.series) << name;
     EXPECT_EQ(obs::metrics_digest_hex(fast.metrics),
-              obs::metrics_digest_hex(reference.metrics))
-        << name;
-    EXPECT_EQ(obs::metrics_digest_hex(fast_sb.metrics),
               obs::metrics_digest_hex(reference.metrics))
         << name;
     EXPECT_GT(fast.metrics.counters.at("mem.instructions"), 0u) << name;
@@ -199,31 +186,23 @@ TEST(VmDifferential, ArchitecturalStateMatchesOnHandwrittenProgram) {
   program.functions.push_back(std::move(fb).build());
 
   test::TestMachine fast(program, {}, vm::VmConfig{.core = vm::VmCore::kFast});
-  test::TestMachine fast_sb(program, {},
-                            vm::VmConfig{.core = vm::VmCore::kFastSb});
   test::TestMachine reference(program, {},
                               vm::VmConfig{.core = vm::VmCore::kReference});
   const vm::RunResult fast_result = fast.run();
-  const vm::RunResult fast_sb_result = fast_sb.run();
   const vm::RunResult reference_result = reference.run();
 
   EXPECT_EQ(fast_result.instructions, reference_result.instructions);
   EXPECT_EQ(fast_result.cycles, reference_result.cycles);
-  EXPECT_EQ(fast_sb_result.instructions, reference_result.instructions);
-  EXPECT_EQ(fast_sb_result.cycles, reference_result.cycles);
   EXPECT_EQ(fast.cpu.reg(isa::kO1), reference.cpu.reg(isa::kO1));
-  EXPECT_EQ(fast_sb.cpu.reg(isa::kO1), reference.cpu.reg(isa::kO1));
   EXPECT_EQ(fast.cpu.reg(isa::kO1), 5050u);
   EXPECT_EQ(fast.cpu.icc().z, reference.cpu.icc().z);
-  EXPECT_EQ(fast_sb.cpu.icc().z, reference.cpu.icc().z);
   EXPECT_EQ(fast.cpu.pc(), reference.cpu.pc());
-  EXPECT_EQ(fast_sb.cpu.pc(), reference.cpu.pc());
 }
 
-// The fast cores reach every register through a window map built from
+// The fast core reaches every register through a window map built from
 // nwindows; the reference core computes the same slot with its own modular
 // formula.  A windowed recursion deep enough to spill and fill at every
-// window count must leave all three cores in the same state: cycles,
+// window count must leave both cores in the same state: cycles,
 // counters, taint statistics and shadows, and all 32 visible registers
 // read through reg() (the reference formula) at halt.
 TEST(VmDifferential, RegisterWindowsAtEveryWindowCount) {
@@ -281,8 +260,8 @@ TEST(VmDifferential, RegisterWindowsAtEveryWindowCount) {
                                 (taint ? " taint on" : " taint off");
       std::vector<std::unique_ptr<test::TestMachine>> machines;
       std::vector<vm::RunResult> results;
-      for (const vm::VmCore core : {vm::VmCore::kReference, vm::VmCore::kFast,
-                                    vm::VmCore::kFastSb}) {
+      for (const vm::VmCore core :
+           {vm::VmCore::kReference, vm::VmCore::kFast}) {
         // A bounded budget: a wrong window map derails the recursion.
         auto& machine = machines.emplace_back(
             std::make_unique<test::TestMachine>(
@@ -369,23 +348,12 @@ TEST(VmDifferential, TaintShadowAgreesAcrossCores) {
     config.taint = true;
     config.collect_metrics = true;
     const CampaignResult fast = run_with_core(config, vm::VmCore::kFast);
-    // Taint forces the fast-sb tier into its op-at-a-time fallback; the
-    // fallback must still be bit-identical, shadows included.
-    const CampaignResult fast_sb = run_with_core(config, vm::VmCore::kFastSb);
     const CampaignResult reference =
         run_with_core(config, vm::VmCore::kReference);
     expect_bit_identical(fast, reference, std::string(name) + " [fast]");
-    expect_bit_identical(fast_sb, reference,
-                         std::string(name) + " [fast-sb]");
     EXPECT_EQ(fast.metrics.counters, reference.metrics.counters) << name;
     EXPECT_EQ(fast.metrics.histograms, reference.metrics.histograms) << name;
-    EXPECT_EQ(fast_sb.metrics.counters, reference.metrics.counters) << name;
-    EXPECT_EQ(fast_sb.metrics.histograms, reference.metrics.histograms)
-        << name;
     EXPECT_EQ(obs::metrics_digest_hex(fast.metrics),
-              obs::metrics_digest_hex(reference.metrics))
-        << name;
-    EXPECT_EQ(obs::metrics_digest_hex(fast_sb.metrics),
               obs::metrics_digest_hex(reference.metrics))
         << name;
   }
@@ -396,8 +364,7 @@ TEST(VmDifferential, TaintShadowAgreesAcrossCores) {
 TEST(VmDifferential, TaintVerdictLeakyVsHardened) {
   exec::ScenarioRegistry registry;
   exec::register_default_scenarios(registry);
-  for (const vm::VmCore core :
-       {vm::VmCore::kFast, vm::VmCore::kFastSb, vm::VmCore::kReference}) {
+  for (const vm::VmCore core : {vm::VmCore::kFast, vm::VmCore::kReference}) {
     CampaignConfig leaky = registry.at("leak/beacon-dsr").make_config(4);
     leaky.taint = true;
     leaky.collect_metrics = true;
@@ -424,30 +391,23 @@ TEST(VmDifferential, TaintVerdictLeakyVsHardened) {
 TEST(VmDifferential, TaintOffAndOnProduceIdenticalMeasurements) {
   exec::ScenarioRegistry registry;
   exec::register_default_scenarios(registry);
-  // Both fast cores: under taint the superblock tier executes the
-  // op-at-a-time fallback, which must hide behind the same measurements.
   for (const char* name : {"leak/beacon-dsr", "control/operation-cots"}) {
-    for (const vm::VmCore core : {vm::VmCore::kFast, vm::VmCore::kFastSb}) {
-      CampaignConfig config = registry.at(name).make_config(4);
-      config.collect_metrics = true;
-      const CampaignResult off = run_with_core(config, core);
-      config.taint = true;
-      const CampaignResult on = run_with_core(config, core);
-      ASSERT_EQ(off.times, on.times) << name;
-      ASSERT_EQ(off.samples.size(), on.samples.size()) << name;
-      for (std::size_t run = 0; run < off.samples.size(); ++run) {
-        EXPECT_TRUE(off.samples[run] == on.samples[run])
-            << name << " " << run;
-      }
-      for (const auto& [key, value] : on.metrics.counters) {
-        if (key.rfind("leak.", 0) == 0) {
-          EXPECT_FALSE(off.metrics.counters.contains(key)) << key;
-        } else {
-          ASSERT_TRUE(off.metrics.counters.contains(key))
-              << name << " " << key;
-          EXPECT_EQ(off.metrics.counters.at(key), value)
-              << name << " " << key;
-        }
+    CampaignConfig config = registry.at(name).make_config(4);
+    config.collect_metrics = true;
+    const CampaignResult off = run_with_core(config, vm::VmCore::kFast);
+    config.taint = true;
+    const CampaignResult on = run_with_core(config, vm::VmCore::kFast);
+    ASSERT_EQ(off.times, on.times) << name;
+    ASSERT_EQ(off.samples.size(), on.samples.size()) << name;
+    for (std::size_t run = 0; run < off.samples.size(); ++run) {
+      EXPECT_TRUE(off.samples[run] == on.samples[run]) << name << " " << run;
+    }
+    for (const auto& [key, value] : on.metrics.counters) {
+      if (key.rfind("leak.", 0) == 0) {
+        EXPECT_FALSE(off.metrics.counters.contains(key)) << key;
+      } else {
+        ASSERT_TRUE(off.metrics.counters.contains(key)) << name << " " << key;
+        EXPECT_EQ(off.metrics.counters.at(key), value) << name << " " << key;
       }
     }
   }
@@ -477,30 +437,19 @@ TEST(VmDifferential, SelfModifyingStoreInvalidatesPredecodedSlot) {
   program.functions.push_back(std::move(target).build());
 
   test::TestMachine fast(program, {}, vm::VmConfig{.core = vm::VmCore::kFast});
-  test::TestMachine fast_sb(program, {},
-                            vm::VmConfig{.core = vm::VmCore::kFastSb});
   test::TestMachine reference(program, {},
                               vm::VmConfig{.core = vm::VmCore::kReference});
   // Warm the decode cache over the whole image so the patch overwrites an
-  // already-decoded slot (the hard case), not a cold one.  For the
-  // superblock tier this also kills a formed-and-possibly-entered block
-  // covering the patch target.
+  // already-decoded slot (the hard case), not a cold one.
   fast.cpu.predecode(fast.image.code_begin(),
                      fast.image.code_end() - fast.image.code_begin());
-  fast_sb.cpu.predecode(fast_sb.image.code_begin(),
-                        fast_sb.image.code_end() -
-                            fast_sb.image.code_begin());
   const vm::RunResult fast_result = fast.run();
-  const vm::RunResult fast_sb_result = fast_sb.run();
   const vm::RunResult reference_result = reference.run();
 
   EXPECT_EQ(fast.cpu.reg(isa::kO1), 42u) << "patched add must execute";
   EXPECT_EQ(fast.cpu.reg(isa::kO1), reference.cpu.reg(isa::kO1));
-  EXPECT_EQ(fast_sb.cpu.reg(isa::kO1), reference.cpu.reg(isa::kO1));
   EXPECT_EQ(fast_result.cycles, reference_result.cycles);
   EXPECT_EQ(fast_result.instructions, reference_result.instructions);
-  EXPECT_EQ(fast_sb_result.cycles, reference_result.cycles);
-  EXPECT_EQ(fast_sb_result.instructions, reference_result.instructions);
 }
 
 } // namespace
