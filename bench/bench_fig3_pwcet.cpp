@@ -8,8 +8,8 @@
 #include "bench_util.hpp"
 #include "trace/report.hpp"
 
-#include <map>
-#include <vector>
+#include <algorithm>
+#include <span>
 
 using namespace proxima;
 using namespace proxima::bench;
@@ -20,33 +20,14 @@ int main() {
   print_header("Figure 3 — pWCET curve of the DSR version (" +
                std::to_string(runs) + " measurement runs)");
 
-  // The campaign runs on the parallel engine; completed shards stream into
-  // the MBPTA convergence controller while measurement is still going —
-  // the incremental measure-test-extend loop of Section V.
-  mbpta::ConvergenceController::Config convergence;
-  convergence.target_exceedance = 1e-15;
-  convergence.mbpta = analysis_mbpta(runs);
-  mbpta::ConvergenceController controller(convergence);
-
-  // Shards complete in scheduling order; the controller's stable-round
-  // accounting is order-sensitive, so batches are buffered and released in
-  // run-index order to keep the convergence verdict reproducible at any
-  // worker count.  (Sink calls are serialised by the engine.)
-  std::map<std::uint64_t, std::vector<double>> pending_shards;
-  std::uint64_t watermark = 0;
+  // The campaign runs on the parallel engine.  The finished campaign is
+  // then replayed into the MBPTA convergence controller in fixed batches —
+  // the incremental measure-test-extend loop of Section V.  The
+  // controller's stable-round accounting is order-sensitive, so the batch
+  // boundaries are fixed run indices, never shard completions: the verdict
+  // is the same at any worker count.
   exec::EngineOptions engine_options;
   engine_options.workers = campaign_workers();
-  engine_options.shard_sink = [&](const exec::ShardRange& range,
-                                  std::span<const double> times) {
-    pending_shards.emplace(range.begin,
-                           std::vector<double>(times.begin(), times.end()));
-    for (auto it = pending_shards.begin();
-         it != pending_shards.end() && it->first == watermark;
-         it = pending_shards.erase(it)) {
-      watermark += it->second.size();
-      controller.add_batch(it->second);
-    }
-  };
   const auto campaign_start = std::chrono::steady_clock::now();
   const CampaignResult dsr =
       exec::CampaignEngine(engine_options)
@@ -57,9 +38,19 @@ int main() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     campaign_start)
           .count();
-  std::printf("convergence controller: %zu samples streamed, pWCET "
-              "estimate %s after the campaign\n",
-              controller.samples_used(),
+
+  constexpr std::size_t kBatchRuns = 100;
+  mbpta::ConvergenceController::Config convergence;
+  convergence.target_exceedance = 1e-15;
+  convergence.mbpta = analysis_mbpta(runs);
+  mbpta::ConvergenceController controller(convergence);
+  for (std::size_t begin = 0; begin < dsr.times.size(); begin += kBatchRuns) {
+    controller.add_batch(std::span<const double>(dsr.times).subspan(
+        begin, std::min(kBatchRuns, dsr.times.size() - begin)));
+  }
+  std::printf("convergence controller: %zu samples in %zu-run batches, "
+              "pWCET estimate %s after the campaign\n",
+              controller.samples_used(), kBatchRuns,
               controller.converged() ? "stable" : "still moving");
   print_throughput("analysis-dsr campaign", dsr, campaign_seconds);
 

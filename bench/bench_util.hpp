@@ -127,24 +127,13 @@ inline void print_throughput(const char* label, const TimedCampaign& timed) {
   print_throughput(label, timed.result, timed.seconds);
 }
 
-/// Registry key for a randomisation technology.
-inline const char* randomisation_key(casestudy::Randomisation randomisation) {
-  switch (randomisation) {
-  case casestudy::Randomisation::kNone: return "cots";
-  case casestudy::Randomisation::kDsr: return "dsr";
-  case casestudy::Randomisation::kDsrOnDemand: return "dsr-ondemand";
-  case casestudy::Randomisation::kStatic: return "static";
-  case casestudy::Randomisation::kHardware: return "hwrand";
-  }
-  return "cots";
-}
-
 /// Operation-like campaign: random inputs every activation (Figure 2,
 /// Table I conditions).  Drawn from the scenario registry.
 inline casestudy::CampaignConfig operation_config(
     casestudy::Randomisation randomisation, std::uint32_t runs) {
   return exec::ScenarioRegistry::global()
-      .at(std::string("control/operation-") + randomisation_key(randomisation))
+      .at(std::string("control/operation-") +
+          casestudy::randomisation_name(randomisation))
       .make_config(runs);
 }
 
@@ -154,7 +143,8 @@ inline casestudy::CampaignConfig operation_config(
 inline casestudy::CampaignConfig analysis_config(
     casestudy::Randomisation randomisation, std::uint32_t runs) {
   return exec::ScenarioRegistry::global()
-      .at(std::string("control/analysis-") + randomisation_key(randomisation))
+      .at(std::string("control/analysis-") +
+          casestudy::randomisation_name(randomisation))
       .make_config(runs);
 }
 

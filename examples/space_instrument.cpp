@@ -1,8 +1,7 @@
 // The full space case study on the partitioned RTOS (Section IV).
 //
 // Part 1 — three seconds of mission time: two partitions on one
-// LEON3-class core under a PikeOS-style hypervisor, registered on a
-// `rtos::PartitionedPlatform`:
+// LEON3-class core under a PikeOS-style `rtos::Hypervisor`:
 //   * "control"    — high criticality, every 1 s, DSR-randomised, rebooted
 //                    after each activation (the measurement protocol);
 //   * "processing" — low criticality, every 100 ms, the image task
@@ -29,7 +28,7 @@
 #include "mem/guest_memory.hpp"
 #include "mem/hierarchy.hpp"
 #include "rng/mwc.hpp"
-#include "rtos/platform.hpp"
+#include "rtos/hypervisor.hpp"
 #include "trace/partition_report.hpp"
 #include "trace/trace.hpp"
 #include "vm/vm.hpp"
@@ -161,16 +160,16 @@ int main() {
   ControlPartition control(memory, hierarchy);
   ImagePartition processing(memory, hierarchy);
 
-  rtos::PartitionedPlatform platform(
+  rtos::Hypervisor hypervisor(
       cpu, hierarchy,
       rtos::HypervisorConfig{.minor_frame_ms = 100, .cycles_per_ms = 80000});
-  platform.add_partition(
+  hypervisor.add_partition(
       rtos::PartitionConfig{.name = "control",
                             .period_ms = 1000,
                             .criticality = rtos::Criticality::kHigh,
                             .reboot_after_each_activation = true},
       control);
-  platform.add_partition(
+  hypervisor.add_partition(
       rtos::PartitionConfig{.name = "processing",
                             .period_ms = 100,
                             .criticality = rtos::Criticality::kLow,
@@ -178,7 +177,7 @@ int main() {
       processing);
 
   std::printf("running 30 minor frames (3 s of mission time)...\n\n");
-  const auto records = platform.run_frames(30);
+  const auto records = hypervisor.run_frames(30);
 
   std::printf("%-6s %-12s %-12s %-12s %-6s\n", "frame", "partition",
               "start (cyc)", "used (cyc)", "halt");
@@ -207,7 +206,7 @@ int main() {
               static_cast<unsigned long long>(
                   control.runtime().stats().relocations));
   std::printf("temporal-isolation violations: %llu\n",
-              static_cast<unsigned long long>(platform.violations()));
+              static_cast<unsigned long long>(hypervisor.violations()));
   std::printf("\nfunctional verification: control %s, processing %s\n",
               control.verified() ? "OK" : "FAILED",
               processing.verified() ? "OK" : "FAILED");

@@ -90,6 +90,10 @@ enum class MeasuredTargetKind : std::uint8_t {
 /// "leak-beacon" / "leak-hardened".
 const char* measured_target_name(MeasuredTargetKind kind) noexcept;
 
+/// Spelling of a randomisation arm in scenario names, `--randomisation`
+/// and reports: "cots" / "dsr" / "dsr-ondemand" / "static" / "hwrand".
+const char* randomisation_name(Randomisation randomisation) noexcept;
+
 /// Hypervisor partition name of the partition a target kind occupies
 /// ("control" / "processing") — fixed per kind, independent of whether the
 /// partition is the measured one or a guest.

@@ -101,7 +101,7 @@ CampaignRunner::CampaignRunner(const CampaignConfig& config)
   }
   configure_taint_ranges();
   if (config_.hypervisor) {
-    hv_build(); // hv_runner.cpp: guest images + PartitionedPlatform
+    hv_build(); // hv_runner.cpp: guest images + Hypervisor
   }
 }
 

@@ -54,8 +54,8 @@ public:
   /// base link, image load, DSR runtime attach.  Deterministic for a given
   /// config, so every worker's platform is identical.  With
   /// `config.hypervisor` set, additionally link/load the guest partition
-  /// images and register every partition on a `rtos::PartitionedPlatform`
-  /// over the same core — measured runs then replay the cyclic schedule
+  /// images and register every partition on a `rtos::Hypervisor` over the
+  /// same core — measured runs then replay the cyclic schedule
   /// (hv_runner.cpp) instead of the bare protocol, with the identical
   /// stage API and determinism contract.
   explicit CampaignRunner(const CampaignConfig& config);
@@ -124,7 +124,7 @@ private:
   [[noreturn]] void fault(const std::string& what) const;
 
   // Hypervisor-campaign engine room (hv_runner.cpp): guest partition
-  // state, the PartitionedPlatform, and the schedule-replay protocol.
+  // state, the Hypervisor, and the schedule-replay protocol.
   struct HvState;
   void hv_build();
   void hv_setup(std::uint64_t activation);

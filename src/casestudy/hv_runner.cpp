@@ -33,7 +33,7 @@
 #include "exec/seed.hpp"
 #include "obs/timeline.hpp"
 #include "rng/mwc.hpp"
-#include "rtos/platform.hpp"
+#include "rtos/hypervisor.hpp"
 
 #include <algorithm>
 #include <limits>
@@ -294,8 +294,9 @@ struct CampaignRunner::HvState {
       : measured(runner),
         measured_partition(
             measured_partition_name(runner.config_.measured)),
-        platform(runner.cpu_, runner.hierarchy_,
-                 rtos::HypervisorConfig{hv.minor_frame_ms, hv.cycles_per_ms}) {
+        hypervisor(runner.cpu_, runner.hierarchy_,
+                   rtos::HypervisorConfig{hv.minor_frame_ms,
+                                          hv.cycles_per_ms}) {
     if (hv.control_guest) {
       control.emplace(runner, runner.config_.control);
     }
@@ -315,7 +316,7 @@ struct CampaignRunner::HvState {
           "period range");
     }
     const auto period_ms = static_cast<std::uint32_t>(period);
-    platform.add_partition(
+    hypervisor.add_partition(
         rtos::PartitionConfig{.name = measured_partition,
                               .period_ms = period_ms,
                               .offset_ms = period_ms - hv.minor_frame_ms,
@@ -323,7 +324,7 @@ struct CampaignRunner::HvState {
                               .criticality = rtos::Criticality::kHigh},
         measured);
     if (control) {
-      platform.add_partition(
+      hypervisor.add_partition(
           rtos::PartitionConfig{
               .name = measured_partition_name(MeasuredTargetKind::kControl),
               .period_ms = hv.minor_frame_ms,
@@ -331,7 +332,7 @@ struct CampaignRunner::HvState {
           *control);
     }
     if (image) {
-      platform.add_partition(
+      hypervisor.add_partition(
           rtos::PartitionConfig{
               .name = measured_partition_name(MeasuredTargetKind::kImage),
               .period_ms = hv.minor_frame_ms,
@@ -339,7 +340,7 @@ struct CampaignRunner::HvState {
           *image);
     }
     if (stressor) {
-      platform.add_partition(
+      hypervisor.add_partition(
           rtos::PartitionConfig{.name = kStressorPartition,
                                 .period_ms = hv.minor_frame_ms,
                                 .budget_ms = hv.stressor_budget_ms},
@@ -352,7 +353,7 @@ struct CampaignRunner::HvState {
   std::optional<ControlGuestApp> control;
   std::optional<ImageGuestApp> image;
   std::optional<StressorGuestApp> stressor;
-  rtos::PartitionedPlatform platform;
+  rtos::Hypervisor hypervisor;
   std::vector<rtos::ActivationRecord> records; // last executed schedule
 };
 
@@ -386,7 +387,7 @@ void CampaignRunner::hv_build() {
     // partition's layout.  The reseed is the hypervisor's own work — host
     // side, charged to no partition budget; the measured partition picks
     // the fresh layout up through entry_address()/its function table.
-    hv_->platform.set_activation_hook(
+    hv_->hypervisor.set_activation_hook(
         [this] { (void)runtime_->rerandomise_on_demand(); });
   }
 }
@@ -436,8 +437,8 @@ void CampaignRunner::hv_execute() {
 
   // Replay the cyclic schedule from a fresh timeline.  Partition-start L1
   // flushes are the hypervisor's own (PikeOS semantics).
-  hv_->platform.reset_schedule();
-  hv_->records = hv_->platform.run_frames(config_.hypervisor->frames);
+  hv_->hypervisor.reset_schedule();
+  hv_->records = hv_->hypervisor.run_frames(config_.hypervisor->frames);
 }
 
 RunSample CampaignRunner::hv_collect() {
@@ -453,7 +454,7 @@ RunSample CampaignRunner::hv_collect() {
   sample.corrupt_input = target_->corrupt_input();
   sample.counters = hierarchy_.counters(); // the whole schedule's traffic
 
-  for (const std::string& name : hv_->platform.partition_names()) {
+  for (const std::string& name : hv_->hypervisor.partition_names()) {
     sample.partitions.push_back(PartitionActivity{name, {}, 0});
   }
   bool measured_completed = false;

@@ -19,6 +19,22 @@ const char* measured_target_name(MeasuredTargetKind kind) noexcept {
   return "control";
 }
 
+const char* randomisation_name(Randomisation randomisation) noexcept {
+  switch (randomisation) {
+  case Randomisation::kDsr:
+    return "dsr";
+  case Randomisation::kDsrOnDemand:
+    return "dsr-ondemand";
+  case Randomisation::kStatic:
+    return "static";
+  case Randomisation::kHardware:
+    return "hwrand";
+  case Randomisation::kNone:
+    break;
+  }
+  return "cots";
+}
+
 const char* measured_partition_name(MeasuredTargetKind kind) noexcept {
   switch (kind) {
   case MeasuredTargetKind::kImage:

@@ -205,16 +205,6 @@ std::vector<Execution> execute_selected(const CampaignOptions& options,
   return executions;
 }
 
-const char* vm_core_name(vm::VmCore core) {
-  switch (core) {
-  case vm::VmCore::kFast:
-    return "fast";
-  case vm::VmCore::kReference:
-    return "reference";
-  }
-  return "?";
-}
-
 void write_adaptive_json(JsonWriter& json, const Execution& execution) {
   json.key("adaptive");
   if (!execution.adaptive) {

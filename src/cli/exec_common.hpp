@@ -83,8 +83,6 @@ std::vector<Execution> execute_selected(const CampaignOptions& options,
 /// campaign fault (exit 3).
 void write_trace_file(const obs::Timeline& timeline, const std::string& path);
 
-const char* vm_core_name(vm::VmCore core);
-
 /// A `--partition` name matching no partition of any selected scenario is
 /// a usage error, raised BEFORE any output.
 void validate_partition_filter(const std::vector<const Execution*>& executions,

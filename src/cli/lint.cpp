@@ -33,22 +33,6 @@ namespace proxima::cli {
 
 namespace {
 
-const char* randomisation_name(casestudy::Randomisation randomisation) {
-  switch (randomisation) {
-  case casestudy::Randomisation::kDsr:
-    return "dsr";
-  case casestudy::Randomisation::kDsrOnDemand:
-    return "dsr-ondemand";
-  case casestudy::Randomisation::kStatic:
-    return "static";
-  case casestudy::Randomisation::kHardware:
-    return "hwrand";
-  case casestudy::Randomisation::kNone:
-    break;
-  }
-  return "cots";
-}
-
 /// Everything lint derives for one scenario.
 struct LintResult {
   std::string name;
@@ -80,7 +64,7 @@ LintResult lint_scenario(const std::string& name,
   result.name = name;
   casestudy::CampaignConfig config = detail::scenario_config(name, options);
   result.target = casestudy::measured_target_name(config.measured);
-  result.randomisation = randomisation_name(config.randomisation);
+  result.randomisation = casestudy::randomisation_name(config.randomisation);
 
   // Static pass: analyse the program the campaign actually executes —
   // the measured target's build plus the DSR compiler pass for DSR arms

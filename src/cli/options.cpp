@@ -1,5 +1,7 @@
 #include "options.hpp"
 
+#include "exec/registry.hpp"
+
 #include <algorithm>
 #include <charconv>
 #include <cmath>
@@ -36,55 +38,29 @@ OutputFormat parse_format(std::string_view text) {
                    std::string(text) + "'");
 }
 
-/// Levenshtein edit distance, small-string DP (core names are short) —
-/// the same did-you-mean treatment unknown scenarios get in the registry.
-std::size_t edit_distance(std::string_view a, std::string_view b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) {
-    row[j] = j;
-  }
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diagonal = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t substitution =
-          diagonal + (a[i - 1] == b[j - 1] ? 0 : 1);
-      diagonal = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1, substitution});
+/// The entry of `choices` that `name_of` spells `text`: the one parser
+/// behind --randomisation and --vm-core.  An unknown spelling throws a
+/// UsageError prefixed with `context` that lists every spelling, in table
+/// order, and the closest matches.
+template <typename T, std::size_t N, typename NameOf>
+const T& parse_choice(std::string_view context, std::string_view text,
+                      const T (&choices)[N], NameOf name_of) {
+  std::vector<std::string> names;
+  for (const T& choice : choices) {
+    if (text == name_of(choice)) {
+      return choice;
     }
+    names.emplace_back(name_of(choice));
   }
-  return row[b.size()];
-}
-
-casestudy::Randomisation parse_randomisation(std::string_view text) {
-  static constexpr std::pair<std::string_view, casestudy::Randomisation>
-      kArms[] = {
-          {"cots", casestudy::Randomisation::kNone},
-          {"dsr", casestudy::Randomisation::kDsr},
-          {"dsr-ondemand", casestudy::Randomisation::kDsrOnDemand},
-          {"static", casestudy::Randomisation::kStatic},
-          {"hwrand", casestudy::Randomisation::kHardware},
-      };
-  for (const auto& [name, arm] : kArms) {
-    if (text == name) {
-      return arm;
-    }
+  std::string message = std::string(context) + ": expected ";
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    message += (i == 0 ? "" : "|") + names[i];
   }
-  std::string message =
-      "--randomisation: expected cots|dsr|dsr-ondemand|static|hwrand, got '" +
-      std::string(text) + "'";
-  const std::size_t threshold = std::max<std::size_t>(2, text.size() / 3);
-  std::vector<std::pair<std::size_t, std::string_view>> scored;
-  for (const auto& [name, arm] : kArms) {
-    const std::size_t distance = edit_distance(text, name);
-    if (distance <= threshold) {
-      scored.emplace_back(distance, name);
-    }
-  }
-  std::sort(scored.begin(), scored.end());
-  if (!scored.empty()) {
+  message += ", got '" + std::string(text) + "'";
+  const std::vector<std::string> closest = exec::closest_names(text, names);
+  if (!closest.empty()) {
     message += "; did you mean:";
-    for (const auto& [distance, name] : scored) {
+    for (const std::string& name : closest) {
       message += ' ';
       message += name;
     }
@@ -92,40 +68,40 @@ casestudy::Randomisation parse_randomisation(std::string_view text) {
   }
   throw UsageError(message);
 }
+
+casestudy::Randomisation parse_randomisation(std::string_view text) {
+  static constexpr casestudy::Randomisation kArms[] = {
+      casestudy::Randomisation::kNone,
+      casestudy::Randomisation::kDsr,
+      casestudy::Randomisation::kDsrOnDemand,
+      casestudy::Randomisation::kStatic,
+      casestudy::Randomisation::kHardware,
+  };
+  return parse_choice("--randomisation", text, kArms,
+                      casestudy::randomisation_name);
+}
+
+/// The --vm-core spellings, in the order its usage errors list them.
+constexpr std::pair<const char*, vm::VmCore> kVmCores[] = {
+    {"fast", vm::VmCore::kFast},
+    {"reference", vm::VmCore::kReference},
+};
 
 } // namespace
 
 vm::VmCore parse_vm_core(std::string_view context, std::string_view text) {
-  static constexpr std::pair<std::string_view, vm::VmCore> kCores[] = {
-      {"fast", vm::VmCore::kFast},
-      {"reference", vm::VmCore::kReference},
-  };
-  for (const auto& [name, core] : kCores) {
-    if (text == name) {
-      return core;
+  return parse_choice(context, text, kVmCores,
+                      [](const auto& entry) { return entry.first; })
+      .second;
+}
+
+const char* vm_core_name(vm::VmCore core) {
+  for (const auto& [name, value] : kVmCores) {
+    if (value == core) {
+      return name;
     }
   }
-  std::string message = std::string(context) +
-                        ": expected fast|reference, got '" +
-                        std::string(text) + "'";
-  const std::size_t threshold = std::max<std::size_t>(2, text.size() / 3);
-  std::vector<std::pair<std::size_t, std::string_view>> scored;
-  for (const auto& [name, core] : kCores) {
-    const std::size_t distance = edit_distance(text, name);
-    if (distance <= threshold) {
-      scored.emplace_back(distance, name);
-    }
-  }
-  std::sort(scored.begin(), scored.end());
-  if (!scored.empty()) {
-    message += "; did you mean:";
-    for (const auto& [distance, name] : scored) {
-      message += ' ';
-      message += name;
-    }
-    message += '?';
-  }
-  throw UsageError(message);
+  return "?";
 }
 
 Command parse_command_line(std::span<const char* const> args) {

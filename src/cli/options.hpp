@@ -135,6 +135,9 @@ Command parse_command_line(std::span<const char* const> args);
 /// the closest matches.
 vm::VmCore parse_vm_core(std::string_view context, std::string_view text);
 
+/// The `--vm-core` spelling of `core`, read back from the same table.
+const char* vm_core_name(vm::VmCore core);
+
 /// The full usage text (also the `help` command's output).
 std::string usage();
 

@@ -27,7 +27,7 @@ using RunnerSlots = std::vector<std::unique_ptr<casestudy::CampaignRunner>>;
 
 /// Per-worker wall-clock telemetry (observability only — gauge class, not
 /// in the metrics digest).  Each worker writes its own slot; the engine
-/// reads after the pool joins.  Accumulates across adaptive batches.
+/// reads after the pool joins.  Accumulates across batches.
 struct WorkerTelemetry {
   std::uint64_t runs = 0;
   double busy_us = 0.0;
@@ -40,17 +40,18 @@ double elapsed_us(std::chrono::steady_clock::time_point since) {
 }
 
 /// Shared campaign state the workers cooperate on.  One `CampaignJob` is
-/// one pass over a shard queue; `run_adaptive` creates a job per batch but
-/// the runner slots (and their platform instances) persist across jobs.
+/// one pass over a shard queue; the campaign loop creates a job per batch
+/// but the runner slots (and their platform instances) persist across
+/// jobs.
 struct CampaignJob {
   CampaignJob(const casestudy::CampaignConfig& config_in,
               const std::vector<ShardRange>& shards_in,
               casestudy::CampaignResult& result_in, ProgressMeter& meter_in,
-              const ShardSink& sink_in, const SampleSink& sample_sink_in,
-              std::stop_token external_in, RunnerSlots& runners_in,
+              const SampleSink& sample_sink_in, std::stop_token external_in,
+              RunnerSlots& runners_in,
               std::vector<WorkerTelemetry>* telemetry_in)
       : config(config_in), shards(shards_in), result(result_in),
-        meter(meter_in), sink(sink_in), sample_sink(sample_sink_in),
+        meter(meter_in), sample_sink(sample_sink_in),
         external(std::move(external_in)), runners(runners_in),
         telemetry(telemetry_in) {}
 
@@ -58,7 +59,6 @@ struct CampaignJob {
   const std::vector<ShardRange>& shards;
   casestudy::CampaignResult& result;   // times/samples pre-sized
   ProgressMeter& meter;
-  const ShardSink& sink;
   const SampleSink& sample_sink;       // persistence; completed shards only
   const std::stop_token external;      // user cancellation
   RunnerSlots& runners;                // one slot per worker, caller-owned
@@ -68,7 +68,7 @@ struct CampaignJob {
   std::atomic<std::uint64_t> runs_done{0};
   std::atomic<bool> fault{false};      // a worker threw
 
-  std::mutex mutex; // guards sink calls and the error slot
+  std::mutex mutex; // guards sample-sink calls and the error slot
   std::exception_ptr error;
 
   /// Checked before claiming a shard AND before every run: a fault or the
@@ -143,21 +143,13 @@ void worker_main(CampaignJob& job, unsigned slot) {
         job.runs_done.fetch_add(1, std::memory_order_relaxed);
         job.meter.add(1);
       }
-      if (job.sink || job.sample_sink) {
+      if (job.sample_sink) {
         std::lock_guard<std::mutex> lock(job.mutex);
-        if (job.sample_sink) {
-          job.sample_sink(
-              shard,
-              std::span<const casestudy::RunSample>(
-                  job.result.samples.data() + shard.begin,
-                  static_cast<std::size_t>(shard.size())),
-              std::span<const obs::MetricsShard>(shard_metrics));
-        }
-        if (job.sink) {
-          job.sink(shard, std::span<const double>(
-                              job.result.times.data() + shard.begin,
-                              static_cast<std::size_t>(shard.size())));
-        }
+        job.sample_sink(shard,
+                        std::span<const casestudy::RunSample>(
+                            job.result.samples.data() + shard.begin,
+                            static_cast<std::size_t>(shard.size())),
+                        std::span<const obs::MetricsShard>(shard_metrics));
       }
     }
   } catch (...) {
@@ -175,10 +167,10 @@ void worker_main(CampaignJob& job, unsigned slot) {
 void execute_shards(const casestudy::CampaignConfig& config,
                     const std::vector<ShardRange>& shards, unsigned workers,
                     casestudy::CampaignResult& result, ProgressMeter& meter,
-                    const ShardSink& sink, const SampleSink& sample_sink,
+                    const SampleSink& sample_sink,
                     const std::stop_token& external, RunnerSlots& runners,
-                    std::vector<WorkerTelemetry>* telemetry = nullptr) {
-  CampaignJob job{config,      shards,   result,  meter,    sink,
+                    std::vector<WorkerTelemetry>* telemetry) {
+  CampaignJob job{config,      shards,   result,  meter,
                   sample_sink, external, runners, telemetry};
   if (workers == 1) {
     worker_main(job, 0); // no thread spawn for the sequential case
@@ -218,7 +210,11 @@ std::uint64_t total_verified(const RunnerSlots& runners) {
 
 /// Pass report + code size from any built runner (identical on every
 /// worker: the build/link pipeline is deterministic for a given config).
-void fill_metadata(const RunnerSlots& runners,
+/// When nothing executed — an empty campaign, or every run served from a
+/// stored prefix — no worker built a platform, so one is built here: the
+/// metadata must match a live run.
+void fill_metadata(const casestudy::CampaignConfig& config,
+                   const RunnerSlots& runners,
                    casestudy::CampaignResult& result) {
   for (const auto& runner : runners) {
     if (runner) {
@@ -227,6 +223,9 @@ void fill_metadata(const RunnerSlots& runners,
       return;
     }
   }
+  const casestudy::CampaignRunner runner(config);
+  result.pass_report = runner.pass_report();
+  result.code_bytes = runner.code_bytes();
 }
 
 /// Collection barrier: fold the per-worker metric shards into the result
@@ -318,7 +317,7 @@ CampaignEngine::Plan CampaignEngine::plan(std::uint64_t runs) const {
   const unsigned requested =
       options_.workers == 0 ? hardware_workers() : options_.workers;
   Plan plan;
-  plan.shards = plan_shards(runs, requested, options_.sharding);
+  plan.shards = plan_shards(runs, requested);
   plan.workers = static_cast<unsigned>(std::max<std::size_t>(
       1, std::min<std::size_t>(requested, plan.shards.size())));
   return plan;
@@ -329,84 +328,103 @@ unsigned CampaignEngine::resolved_workers(std::uint64_t runs) const {
 }
 
 casestudy::CampaignResult
-CampaignEngine::run(const casestudy::CampaignConfig& config) const {
-  return run(config, StoredPrefix{});
+CampaignEngine::grow(const casestudy::CampaignConfig& config,
+                     std::uint64_t budget, std::uint64_t batch_runs,
+                     mbpta::ConvergenceController* controller,
+                     const StoredPrefix& prefix) const {
+  validate_prefix(config, prefix);
+  // Every batch executes against the same config so an adaptive stop at N
+  // runs is bit-identical to a fixed N-run campaign; `runs` is the budget
+  // so the runners' range check admits every batch index.
+  casestudy::CampaignConfig run_config = config;
+  run_config.runs = static_cast<std::uint32_t>(budget);
+
+  casestudy::CampaignResult result;
+  ProgressMeter meter(budget, options_.progress);
+  RunnerSlots runners; // persist across batches, grown to the widest batch
+  std::vector<WorkerTelemetry> telemetry; // likewise, accumulated
+  unsigned widest_workers = 1;
+  const std::uint64_t stored =
+      std::min<std::uint64_t>(prefix.samples.size(), budget);
+  const auto wall_start = std::chrono::steady_clock::now();
+
+  for (std::uint64_t begin = 0; begin < budget; begin += batch_runs) {
+    const std::uint64_t end = std::min(budget, begin + batch_runs);
+    result.times.resize(static_cast<std::size_t>(end));
+    result.samples.resize(static_cast<std::size_t>(end));
+
+    // Stored runs fill their slots directly; only the batch's uncovered
+    // tail executes — the controller below cannot tell the difference.
+    const std::uint64_t covered = std::min(stored, end);
+    if (covered > begin) {
+      splice_prefix(prefix, begin, covered, result);
+      meter.add(covered - begin);
+    }
+    const std::uint64_t exec_begin = std::max(begin, covered);
+    if (exec_begin < end) {
+      // Shard the executed tail only; the plan is deterministic and the
+      // offsets put it at [exec_begin, end) of the global run-index space.
+      Plan batch_plan = plan(end - exec_begin);
+      for (ShardRange& shard : batch_plan.shards) {
+        shard.begin += exec_begin;
+        shard.end += exec_begin;
+      }
+      if (runners.size() < batch_plan.workers) {
+        runners.resize(batch_plan.workers);
+      }
+      widest_workers = std::max(widest_workers, batch_plan.workers);
+      if (config.collect_metrics && telemetry.size() < batch_plan.workers) {
+        telemetry.resize(batch_plan.workers);
+      }
+      obs::Timeline* const batch_timeline =
+          controller != nullptr ? config.timeline : nullptr;
+      const double batch_ts_us =
+          batch_timeline != nullptr ? batch_timeline->now_us() : 0.0;
+      const auto batch_start = std::chrono::steady_clock::now();
+      execute_shards(run_config, batch_plan.shards, batch_plan.workers,
+                     result, meter, options_.sample_sink, options_.stop,
+                     runners, config.collect_metrics ? &telemetry : nullptr);
+      if (batch_timeline != nullptr) {
+        batch_timeline->record(
+            "engine", "batches",
+            "batch " + std::to_string(begin / batch_runs) + " [" +
+                std::to_string(exec_begin) + ", " + std::to_string(end) + ")",
+            batch_ts_us, elapsed_us(batch_start));
+      }
+    }
+
+    // Deterministic batch boundary: the controller sees this batch in
+    // run-index order, exactly once, regardless of which worker completed
+    // which shard when — the stop decision cannot depend on scheduling.
+    if (controller != nullptr &&
+        controller->add_batch(std::span<const double>(
+            result.times.data() + begin,
+            static_cast<std::size_t>(end - begin)))) {
+      break;
+    }
+  }
+
+  result.verified_runs = total_verified(runners);
+  fill_metadata(run_config, runners, result);
+  merge_prefix(config, prefix,
+               std::min<std::uint64_t>(stored, result.times.size()), result);
+  if (config.collect_metrics) {
+    merge_metrics(runners, telemetry, widest_workers, elapsed_us(wall_start),
+                  result);
+  }
+  return result;
 }
 
 casestudy::CampaignResult
 CampaignEngine::run(const casestudy::CampaignConfig& config,
                     const StoredPrefix& prefix) const {
-  validate_prefix(config, prefix);
-  casestudy::CampaignResult result;
-  const std::uint64_t runs = config.runs;
-  if (runs == 0) {
-    // Match the sequential wrapper exactly: the platform is still built,
-    // so the pass report and code size are populated.
-    casestudy::CampaignRunner runner(config);
-    result.pass_report = runner.pass_report();
-    result.code_bytes = runner.code_bytes();
-    if (options_.progress) {
-      options_.progress(0, 0);
-    }
-    return result;
-  }
-
-  // Stored runs fill their slots directly; only the remainder executes.
-  const std::uint64_t stored =
-      std::min<std::uint64_t>(prefix.samples.size(), runs);
-  result.times.resize(static_cast<std::size_t>(runs));
-  result.samples.resize(static_cast<std::size_t>(runs));
-  splice_prefix(prefix, 0, stored, result);
-  ProgressMeter meter(runs, options_.progress);
-  if (stored != 0) {
-    meter.add(stored);
-  }
-
-  if (stored == runs) {
-    // Fully served from the store: nothing executes, but the platform is
-    // still built once so the report's pass/code metadata matches a live
-    // run (the build pipeline is deterministic for a given config).
-    casestudy::CampaignRunner runner(config);
-    result.pass_report = runner.pass_report();
-    result.code_bytes = runner.code_bytes();
-    merge_prefix(config, prefix, stored, result);
-    return result;
-  }
-
-  Plan execution_plan = plan(runs - stored);
-  for (ShardRange& shard : execution_plan.shards) {
-    shard.begin += stored;
-    shard.end += stored;
-  }
-  RunnerSlots runners(execution_plan.workers);
-  std::vector<WorkerTelemetry> telemetry(
-      config.collect_metrics ? execution_plan.workers : 0);
-  const auto wall_start = std::chrono::steady_clock::now();
-  execute_shards(config, execution_plan.shards, execution_plan.workers,
-                 result, meter, options_.shard_sink, options_.sample_sink,
-                 options_.stop, runners,
-                 config.collect_metrics ? &telemetry : nullptr);
-  result.verified_runs = total_verified(runners);
-  fill_metadata(runners, result);
-  if (config.collect_metrics) {
-    merge_metrics(runners, telemetry, execution_plan.workers,
-                  elapsed_us(wall_start), result);
-  }
-  merge_prefix(config, prefix, stored, result);
-  return result;
-}
-
-AdaptiveCampaignResult
-CampaignEngine::run_adaptive(const casestudy::CampaignConfig& config,
-                             const ConvergenceOptions& options) const {
-  return run_adaptive(config, options, StoredPrefix{});
+  return grow(config, config.runs, config.runs, nullptr, prefix);
 }
 
 AdaptiveCampaignResult
 CampaignEngine::run_adaptive(const casestudy::CampaignConfig& config,
                              const ConvergenceOptions& options,
                              const StoredPrefix& prefix) const {
-  validate_prefix(config, prefix);
   if (options.batch_runs == 0) {
     throw std::invalid_argument("run_adaptive: batch_runs must be >= 1");
   }
@@ -423,104 +441,21 @@ CampaignEngine::run_adaptive(const casestudy::CampaignConfig& config,
         "32-bit range");
   }
 
-  // Every batch executes against the same config so an adaptive stop at N
-  // runs is bit-identical to a fixed N-run campaign; `runs` is the budget
-  // so the runners' range check admits every batch index.
-  casestudy::CampaignConfig run_config = config;
-  run_config.runs = static_cast<std::uint32_t>(budget);
-
   AdaptiveCampaignResult out;
-  casestudy::CampaignResult& campaign = out.campaign;
   mbpta::ConvergenceController controller(options.controller);
-  ProgressMeter meter(budget, options_.progress);
-
-  RunnerSlots runners; // persist across batches, grown to the widest batch
-  std::vector<WorkerTelemetry> telemetry; // likewise, accumulated
-  unsigned widest_workers = 1;
-  const std::uint64_t stored =
-      std::min<std::uint64_t>(prefix.samples.size(), budget);
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  for (std::uint64_t begin = 0; begin < budget; begin += options.batch_runs) {
-    const std::uint64_t end = std::min(budget, begin + options.batch_runs);
-    campaign.times.resize(static_cast<std::size_t>(end));
-    campaign.samples.resize(static_cast<std::size_t>(end));
-
-    // Replay the stored part of this batch, execute only its uncovered
-    // tail — the controller below cannot tell the difference.
-    const std::uint64_t covered = std::min(stored, end);
-    if (covered > begin) {
-      splice_prefix(prefix, begin, covered, campaign);
-      meter.add(covered - begin);
-    }
-    const std::uint64_t exec_begin = std::max(begin, covered);
-    if (exec_begin < end) {
-      // Shard the executed tail only (same worker-resolution policy as
-      // `run`); the plan is deterministic and the offsets put it at
-      // [exec_begin, end) of the global run-index space.
-      Plan batch_plan = plan(end - exec_begin);
-      for (ShardRange& shard : batch_plan.shards) {
-        shard.begin += exec_begin;
-        shard.end += exec_begin;
-      }
-      if (runners.size() < batch_plan.workers) {
-        runners.resize(batch_plan.workers);
-      }
-      widest_workers = std::max(widest_workers, batch_plan.workers);
-      if (config.collect_metrics && telemetry.size() < batch_plan.workers) {
-        telemetry.resize(batch_plan.workers);
-      }
-      const double batch_ts_us =
-          config.timeline != nullptr ? config.timeline->now_us() : 0.0;
-      const auto batch_start = std::chrono::steady_clock::now();
-      execute_shards(run_config, batch_plan.shards, batch_plan.workers,
-                     campaign, meter, options_.shard_sink,
-                     options_.sample_sink, options_.stop, runners,
-                     config.collect_metrics ? &telemetry : nullptr);
-      if (config.timeline != nullptr) {
-        config.timeline->record(
-            "engine", "batches",
-            "batch " + std::to_string(out.batches) + " [" +
-                std::to_string(exec_begin) + ", " + std::to_string(end) + ")",
-            batch_ts_us, elapsed_us(batch_start));
-      }
-    }
-
-    // Deterministic batch boundary: the controller sees this batch in
-    // run-index order, exactly once, regardless of which worker completed
-    // which shard when — the stop decision cannot depend on scheduling.
-    ++out.batches;
-    const bool done = controller.add_batch(std::span<const double>(
-        campaign.times.data() + begin,
-        static_cast<std::size_t>(end - begin)));
-    if (done) {
-      break;
-    }
-  }
-
+  out.campaign = grow(config, budget, options.batch_runs, &controller, prefix);
   out.converged = controller.converged();
   out.capped = !out.converged; // controller cap or budget exhaustion
   out.estimates = controller.estimates();
-  campaign.verified_runs = total_verified(runners);
-  fill_metadata(runners, campaign);
-  if (campaign.code_bytes == 0) {
-    // Every batch was served from the prefix — no worker ever built a
-    // platform.  Build one for the pass/code metadata, as `run` does.
-    casestudy::CampaignRunner runner(run_config);
-    campaign.pass_report = runner.pass_report();
-    campaign.code_bytes = runner.code_bytes();
-  }
-  merge_prefix(config, prefix,
-               std::min<std::uint64_t>(stored, campaign.times.size()),
-               campaign);
+  // The loop stops only at batch boundaries or the budget.
+  out.batches = static_cast<std::size_t>(
+      (out.runs() + options.batch_runs - 1) / options.batch_runs);
   if (config.collect_metrics) {
-    merge_metrics(runners, telemetry, widest_workers, elapsed_us(wall_start),
-                  campaign);
     // The convergence trajectory is computed at deterministic batch
     // boundaries from deterministic samples: series class, in the digest.
-    campaign.metrics.set_series("engine.pwcet_estimates", out.estimates);
-    campaign.metrics.set_gauge("engine.batches",
-                               static_cast<double>(out.batches));
+    out.campaign.metrics.set_series("engine.pwcet_estimates", out.estimates);
+    out.campaign.metrics.set_gauge("engine.batches",
+                                   static_cast<double>(out.batches));
   }
   return out;
 }

@@ -9,10 +9,14 @@
 // `CampaignResult.times`/`samples` are bit-identical to the sequential
 // `run_control_campaign` regardless of worker count or scheduling order.
 //
-// Completed shards can be streamed to a sink while the campaign is still
-// running (e.g. to feed `mbpta::ConvergenceController` with measurement
-// batches), and a progress callback reports the running completed/total
-// counts.
+// A fixed campaign and an adaptive one are the same loop: the campaign
+// grows in batches, each batch sharded across the pool and reassembled in
+// run-index order.  A fixed N-run campaign is that loop's single batch
+// [0, N); an adaptive one feeds every batch to an
+// `mbpta::ConvergenceController` and stops where it converges.  Completed
+// shards can be persisted through a sample sink while the campaign is
+// still running, and a progress callback reports the running
+// completed/total counts.
 //
 // Cancellation is cooperative: workers re-check a stop condition before
 // claiming a shard AND before every run inside a shard, so both a worker
@@ -33,13 +37,6 @@
 #include <stop_token>
 
 namespace proxima::exec {
-
-/// Streaming per-shard aggregation: invoked once per completed shard with
-/// the shard's UoA times in run-index order.  Shards arrive in completion
-/// order (not index order) but carry their range; calls are serialised by
-/// the engine.
-using ShardSink = std::function<void(const ShardRange& range,
-                                     std::span<const double> times)>;
 
 /// Streaming per-shard persistence (the campaign store): invoked once per
 /// COMPLETED shard with the shard's full `RunSample`s in run-index order,
@@ -80,9 +77,7 @@ struct EngineOptions {
   /// Worker threads; 0 picks the hardware concurrency.  The effective
   /// count never exceeds the number of planned shards.
   unsigned workers = 0;
-  ShardOptions sharding;
   ProgressFn progress;    // optional completed/total callback
-  ShardSink shard_sink;   // optional streaming aggregation
   SampleSink sample_sink; // optional streaming persistence (campaign store)
   /// Optional external cancellation: when the token fires, workers stop at
   /// the next per-run check and the engine throws `CampaignCancelled`
@@ -99,20 +94,14 @@ public:
   /// first worker fault (functional mismatch, platform fault) after all
   /// workers have stopped — promptly: the fault cancels the pool, it does
   /// not wait for the queue to drain.
-  casestudy::CampaignResult run(const casestudy::CampaignConfig& config) const;
-
-  /// `run`, resuming from a stored prefix: result slots [0, n) are filled
-  /// from `prefix` (n = min(prefix size, config.runs)) without executing
-  /// them, only [n, runs) is sharded across the pool, and the prefix's
-  /// per-run metric deltas / verification flags are folded into the result
-  /// at the collection barrier.  Bit-identical times/samples/metrics
-  /// digests to an uninterrupted `run` at any worker count.  The
-  /// sample_sink only sees freshly executed shards; the shard_sink
-  /// likewise (a resuming aggregator already holds the prefix).  A prefix
-  /// covering every run executes nothing (the platform is still built once
-  /// for the pass report / code size).
+  ///
+  /// Runs [0, n) of a stored `prefix` (n = min(prefix size, config.runs))
+  /// are spliced in without executing, their per-run metric deltas and
+  /// verification flags folded in at the collection barrier; only [n,
+  /// runs) executes, and only it reaches the sample_sink.  The result is
+  /// bit-identical to an uninterrupted campaign at any worker count.
   casestudy::CampaignResult run(const casestudy::CampaignConfig& config,
-                                const StoredPrefix& prefix) const;
+                                const StoredPrefix& prefix = {}) const;
 
   /// Execute the campaign adaptively: grow in `options.batch_runs`-sized
   /// batches, feed each completed batch (in run-index order) to an
@@ -124,22 +113,16 @@ public:
   /// bit-identical at any worker count, and equal to a fixed campaign of
   /// the same length.  Per-worker platforms persist across batches, so
   /// growing costs no extra program builds.
-  AdaptiveCampaignResult
-  run_adaptive(const casestudy::CampaignConfig& config,
-               const ConvergenceOptions& options) const;
-
-  /// `run_adaptive`, resuming from a stored prefix.  Batches fully covered
-  /// by the prefix are replayed straight into the controller without
-  /// executing anything; a batch the prefix covers partially executes only
-  /// its uncovered tail.  The controller still sees every batch in
-  /// run-index order at the same deterministic boundaries, so the stop
-  /// decision — and therefore the final length, estimates, and digests —
-  /// matches the uninterrupted campaign exactly.  Prefix samples beyond
-  /// the batch where the controller stops are left unconsumed.
-  AdaptiveCampaignResult
-  run_adaptive(const casestudy::CampaignConfig& config,
-               const ConvergenceOptions& options,
-               const StoredPrefix& prefix) const;
+  ///
+  /// A batch a stored `prefix` covers is replayed into the controller
+  /// without executing anything; a batch it covers in part executes only
+  /// its tail.  The controller sees the same batches at the same
+  /// boundaries, so the stop decision — and therefore the final length,
+  /// estimates, and digests — matches the uninterrupted campaign.  Prefix
+  /// samples beyond the stop are left unconsumed.
+  AdaptiveCampaignResult run_adaptive(const casestudy::CampaignConfig& config,
+                                      const ConvergenceOptions& options,
+                                      const StoredPrefix& prefix = {}) const;
 
   /// The worker count `run` would use for a campaign of `runs` runs.
   unsigned resolved_workers(std::uint64_t runs) const;
@@ -152,6 +135,18 @@ private:
     unsigned workers = 1;
   };
   Plan plan(std::uint64_t runs) const;
+
+  /// The one campaign loop behind `run` and `run_adaptive`: grow [0,
+  /// budget) in `batch_runs` extents, splicing what `prefix` covers and
+  /// executing the rest across the pool.  With a controller, every extent
+  /// is fed to it in run-index order, the loop stops where it reports
+  /// completion, and each executed extent leaves an `engine`/`batches`
+  /// timeline span.
+  casestudy::CampaignResult grow(const casestudy::CampaignConfig& config,
+                                 std::uint64_t budget,
+                                 std::uint64_t batch_runs,
+                                 mbpta::ConvergenceController* controller,
+                                 const StoredPrefix& prefix) const;
 
   EngineOptions options_;
 };

@@ -28,9 +28,21 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
   return row[b.size()];
 }
 
-/// Closest registered names to a typo, nearest first; only names within a
-/// third of the query's length (so 'nope' suggests nothing rather than
-/// everything).
+/// Registered families ("control/", "hv/", ...) with member counts, in
+/// sorted order.
+std::map<std::string, std::size_t>
+family_counts(const std::vector<std::string>& names) {
+  std::map<std::string, std::size_t> families;
+  for (const std::string& name : names) {
+    const std::size_t slash = name.find('/');
+    ++families[slash == std::string::npos ? name
+                                          : name.substr(0, slash + 1)];
+  }
+  return families;
+}
+
+} // namespace
+
 std::vector<std::string> closest_names(std::string_view query,
                                        const std::vector<std::string>& names) {
   const std::size_t threshold = std::max<std::size_t>(2, query.size() / 3);
@@ -48,21 +60,6 @@ std::vector<std::string> closest_names(std::string_view query,
   }
   return result;
 }
-
-/// Registered families ("control/", "hv/", ...) with member counts, in
-/// sorted order.
-std::map<std::string, std::size_t>
-family_counts(const std::vector<std::string>& names) {
-  std::map<std::string, std::size_t> families;
-  for (const std::string& name : names) {
-    const std::size_t slash = name.find('/');
-    ++families[slash == std::string::npos ? name
-                                          : name.substr(0, slash + 1)];
-  }
-  return families;
-}
-
-} // namespace
 
 void ScenarioRegistry::add(Scenario scenario) {
   if (scenario.name.empty()) {

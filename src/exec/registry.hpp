@@ -73,4 +73,11 @@ private:
 /// callable on a fresh registry in tests).
 void register_default_scenarios(ScenarioRegistry& registry);
 
+/// The did-you-mean list for a typo: at most three of `names`, nearest
+/// (Levenshtein) first, ties by name; only names within a third of the
+/// query's length (so 'nope' suggests nothing rather than everything).
+/// Unknown scenarios and the CLI's enumerated flags share it.
+std::vector<std::string> closest_names(std::string_view query,
+                                       const std::vector<std::string>& names);
+
 } // namespace proxima::exec

@@ -5,32 +5,25 @@
 
 namespace proxima::exec {
 
-std::vector<ShardRange> plan_shards(std::uint64_t runs, unsigned workers,
-                                    const ShardOptions& options) {
+namespace {
+
+/// More than one chunk per worker lets fast workers steal the tail of the
+/// queue from slow ones.
+constexpr std::uint64_t kChunksPerWorker = 4;
+
+} // namespace
+
+std::vector<ShardRange> plan_shards(std::uint64_t runs, unsigned workers) {
   if (workers == 0) {
     throw std::invalid_argument("plan_shards: workers must be >= 1");
   }
-  std::vector<ShardRange> plan;
-  if (runs == 0) {
-    return plan;
-  }
-  const std::uint64_t min_chunk = std::max<std::uint64_t>(1, options.min_chunk);
-  const std::uint64_t target_chunks =
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(workers) *
-                                     std::max(1u, options.chunks_per_worker));
-  // Chunk size honouring the floor; the last chunk absorbs the remainder's
-  // final partial piece.
+  const std::uint64_t target_chunks = kChunksPerWorker * workers;
   const std::uint64_t chunk =
-      std::max(min_chunk, (runs + target_chunks - 1) / target_chunks);
+      std::max<std::uint64_t>(1, (runs + target_chunks - 1) / target_chunks);
+  std::vector<ShardRange> plan;
   plan.reserve(static_cast<std::size_t>((runs + chunk - 1) / chunk));
   for (std::uint64_t begin = 0; begin < runs; begin += chunk) {
     plan.push_back(ShardRange{begin, std::min(runs, begin + chunk)});
-  }
-  // An undersized tail would defeat the min_chunk floor: fold it into its
-  // predecessor.
-  if (plan.size() >= 2 && plan.back().size() < min_chunk) {
-    plan[plan.size() - 2].end = plan.back().end;
-    plan.pop_back();
   }
   return plan;
 }

@@ -2,7 +2,7 @@
 //
 // A campaign of `runs` measured runs is cut into contiguous chunks that
 // workers claim from a shared queue.  The *plan* is a pure function of
-// (runs, workers, options) — which worker ends up executing which chunk is
+// (runs, workers) — which worker ends up executing which chunk is
 // scheduling-dependent, but since every run is a pure function of its
 // index (see campaign_runner.hpp) the aggregated result is not.
 //
@@ -26,18 +26,9 @@ struct ShardRange {
   friend bool operator==(const ShardRange&, const ShardRange&) = default;
 };
 
-struct ShardOptions {
-  /// Smallest chunk worth dispatching (amortises per-chunk overhead such
-  /// as the input-stream catch-up replay at a shard boundary).
-  std::uint64_t min_chunk = 1;
-  /// Target chunks per worker: >1 lets fast workers steal the tail of the
-  /// queue from slow ones.
-  unsigned chunks_per_worker = 4;
-};
-
-/// Cut [0, runs) into ascending, disjoint, covering chunks.  Returns an
+/// Cut [0, runs) into ascending, disjoint, covering chunks, four per
+/// worker (fewer when runs < 4 × workers: one run per chunk).  Returns an
 /// empty plan for runs == 0.  Deterministic.
-std::vector<ShardRange> plan_shards(std::uint64_t runs, unsigned workers,
-                                    const ShardOptions& options = {});
+std::vector<ShardRange> plan_shards(std::uint64_t runs, unsigned workers);
 
 } // namespace proxima::exec

@@ -95,7 +95,7 @@ void Hypervisor::add_partition(const PartitionConfig& partition_config,
     }
   }
 
-  slots_.push_back(Slot{partition_config, &app, 0});
+  slots_.push_back(Slot{partition_config, &app, slots_.size(), 0});
   // High criticality first within a frame (the control task must never
   // wait behind the image-processing task).
   std::stable_sort(slots_.begin(), slots_.end(),
@@ -208,6 +208,14 @@ void Hypervisor::reset_schedule() noexcept {
   for (Slot& slot : slots_) {
     slot.activations = 0;
   }
+}
+
+std::vector<std::string> Hypervisor::partition_names() const {
+  std::vector<std::string> names(slots_.size());
+  for (const Slot& slot : slots_) {
+    names[slot.registered] = slot.config.name;
+  }
+  return names;
 }
 
 } // namespace proxima::rtos

@@ -115,6 +115,11 @@ public:
   /// Temporal-isolation violations observed so far (budget overruns).
   std::uint64_t violations() const noexcept { return violations_; }
 
+  /// Registered partition names, in registration order (the stable order
+  /// per-partition reports are rendered in; activation order within a
+  /// frame is by criticality instead).
+  std::vector<std::string> partition_names() const;
+
   /// Hook fired once per *granted* activation, before the partition-start
   /// flush and `before_activation` — i.e. at every partition switch the
   /// schedule actually performs (denied zero-budget activations do not
@@ -130,6 +135,7 @@ private:
   struct Slot {
     PartitionConfig config;
     PartitionApp* app = nullptr;
+    std::size_t registered = 0; // registration position
     std::uint64_t activations = 0;
   };
 

@@ -4,12 +4,18 @@
 // count, and equal to a fixed campaign of the same length — the property
 // that makes an adaptive pWCET reproducible.
 #include "casestudy/campaign.hpp"
+#include "casestudy/campaign_runner.hpp"
+#include "cli/json_reader.hpp"
 #include "exec/engine.hpp"
 #include "exec/registry.hpp"
+#include "obs/timeline.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
 
 namespace {
 
@@ -45,6 +51,19 @@ ConvergenceOptions loose_convergence(std::uint64_t batch,
   return options;
 }
 
+/// Equal element by element, NaN (a failed i.i.d. verdict) matching NaN.
+void expect_same_estimates(const std::vector<double>& a,
+                           const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i])) {
+      EXPECT_TRUE(std::isnan(b[i])) << "estimate " << i;
+    } else {
+      EXPECT_EQ(a[i], b[i]) << "estimate " << i;
+    }
+  }
+}
+
 void expect_identical(const AdaptiveCampaignResult& a,
                       const AdaptiveCampaignResult& b) {
   EXPECT_EQ(a.converged, b.converged);
@@ -54,14 +73,7 @@ void expect_identical(const AdaptiveCampaignResult& a,
   for (std::size_t i = 0; i < a.campaign.times.size(); ++i) {
     EXPECT_EQ(a.campaign.times[i], b.campaign.times[i]) << "run " << i;
   }
-  ASSERT_EQ(a.estimates.size(), b.estimates.size());
-  for (std::size_t i = 0; i < a.estimates.size(); ++i) {
-    if (std::isnan(a.estimates[i])) {
-      EXPECT_TRUE(std::isnan(b.estimates[i])) << "estimate " << i;
-    } else {
-      EXPECT_EQ(a.estimates[i], b.estimates[i]) << "estimate " << i;
-    }
-  }
+  expect_same_estimates(a.estimates, b.estimates);
   EXPECT_EQ(a.campaign.verified_runs, b.campaign.verified_runs);
   EXPECT_EQ(a.campaign.code_bytes, b.campaign.code_bytes);
 }
@@ -146,6 +158,123 @@ TEST(AdaptiveCampaign, DefaultBudgetIsTheConfigsRunCount) {
       exec::CampaignEngine(worker_options(1))
           .run_adaptive(dsr_config(50), options);
   EXPECT_EQ(adaptive.runs(), 50u) << "config.runs is the default budget";
+}
+
+/// Span labels on the timeline's engine/batches track, in time order.
+std::vector<std::string> batch_spans(const obs::Timeline& timeline) {
+  std::ostringstream json;
+  timeline.write_json(json);
+  const cli::JsonValue document = cli::JsonValue::parse(json.str());
+  // Track metadata precedes the spans: the process first, then its
+  // threads.
+  double engine = -1.0;
+  double batches = -1.0;
+  std::vector<std::string> spans;
+  for (const cli::JsonValue& event : document.get("traceEvents")->array) {
+    const std::string& kind = event.get("name")->string;
+    const double pid = event.get("pid")->number;
+    const double tid = event.get("tid")->number;
+    if (event.get("ph")->string == "X") {
+      if (pid == engine && tid == batches) {
+        spans.push_back(kind);
+      }
+    } else if (kind == "process_name" &&
+               event.get("args", "name")->string == "engine") {
+      engine = pid;
+    } else if (kind == "thread_name" && pid == engine &&
+               event.get("args", "name")->string == "batches") {
+      batches = tid;
+    }
+  }
+  return spans;
+}
+
+/// Runs [0, runs) of `config` with their per-run metric deltas, as the
+/// store would hold them.
+struct Prefix {
+  std::vector<casestudy::RunSample> samples;
+  std::vector<obs::MetricsShard> run_metrics;
+
+  Prefix(const CampaignConfig& config, std::uint64_t runs) {
+    casestudy::CampaignRunner runner(config);
+    for (std::uint64_t index = 0; index < runs; ++index) {
+      samples.push_back(runner.run(index));
+      run_metrics.push_back(runner.last_run_metrics());
+    }
+  }
+
+  exec::StoredPrefix view() const { return {samples, run_metrics, {}}; }
+};
+
+TEST(AdaptiveOutputs, AFixedCampaignHasNone) {
+  // No convergence series, no batch-count gauge, no batch spans — live or
+  // served entirely from a stored prefix.  The loop's own engine.* gauges
+  // are there either way.
+  CampaignConfig config = dsr_config(60);
+  config.collect_metrics = true;
+  const Prefix stored(config, 60);
+
+  for (const bool resumed : {false, true}) {
+    obs::Timeline timeline;
+    config.timeline = &timeline;
+    const exec::CampaignEngine engine(worker_options(2));
+    const CampaignResult fixed =
+        resumed ? engine.run(config, stored.view()) : engine.run(config);
+    ASSERT_EQ(fixed.times.size(), 60u);
+    EXPECT_FALSE(fixed.metrics.series.contains("engine.pwcet_estimates"))
+        << "resumed " << resumed;
+    EXPECT_FALSE(fixed.metrics.gauges.contains("engine.batches"))
+        << "resumed " << resumed;
+    EXPECT_TRUE(fixed.metrics.gauges.contains("engine.wall_seconds"))
+        << "resumed " << resumed;
+    EXPECT_TRUE(batch_spans(timeline).empty()) << "resumed " << resumed;
+    EXPECT_EQ(timeline.size(), resumed ? 0u : 60u) << "one span per run";
+  }
+}
+
+TEST(AdaptiveOutputs, AnAdaptiveCampaignRecordsItsBatches) {
+  const ConvergenceOptions options = loose_convergence(40, 400);
+  CampaignConfig config = dsr_config(400);
+  config.collect_metrics = true;
+
+  obs::Timeline live_timeline;
+  config.timeline = &live_timeline;
+  const AdaptiveCampaignResult live =
+      exec::CampaignEngine(worker_options(2)).run_adaptive(config, options);
+  ASSERT_GE(live.batches, 2u);
+  expect_same_estimates(
+      live.campaign.metrics.series.at("engine.pwcet_estimates"),
+      live.estimates);
+  EXPECT_EQ(live.campaign.metrics.gauges.at("engine.batches"),
+            static_cast<double>(live.batches));
+  std::vector<std::string> expected;
+  for (std::size_t batch = 0; batch < live.batches; ++batch) {
+    expected.push_back("batch " + std::to_string(batch) + " [" +
+                       std::to_string(40 * batch) + ", " +
+                       std::to_string(40 * batch + 40) + ")");
+  }
+  EXPECT_EQ(batch_spans(live_timeline), expected) << "one per batch";
+
+  // Resume from 60 stored runs: batch 0 is served entirely from the
+  // prefix and executes nothing, so it leaves no span; batch 1 executes
+  // only its uncovered tail.
+  config.timeline = nullptr;
+  const Prefix stored(config, 60);
+  obs::Timeline resumed_timeline;
+  config.timeline = &resumed_timeline;
+  const AdaptiveCampaignResult resumed =
+      exec::CampaignEngine(worker_options(2))
+          .run_adaptive(config, options, stored.view());
+  EXPECT_EQ(resumed.runs(), live.runs());
+  EXPECT_EQ(resumed.batches, live.batches);
+  expect_same_estimates(
+      resumed.campaign.metrics.series.at("engine.pwcet_estimates"),
+      live.estimates);
+  EXPECT_EQ(resumed.campaign.metrics.gauges.at("engine.batches"),
+            static_cast<double>(live.batches));
+  expected.erase(expected.begin());
+  expected.front() = "batch 1 [60, 80)";
+  EXPECT_EQ(batch_spans(resumed_timeline), expected);
 }
 
 TEST(AdaptiveCampaign, RejectsDegenerateOptions) {

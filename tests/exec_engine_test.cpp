@@ -77,16 +77,6 @@ TEST(PlanShards, FewerRunsThanWorkers) {
   EXPECT_EQ(plan.size(), 3u) << "one run per shard when runs < workers";
 }
 
-TEST(PlanShards, MinChunkFloor) {
-  exec::ShardOptions options;
-  options.min_chunk = 8;
-  const auto plan = exec::plan_shards(100, 4, options);
-  expect_valid_plan(plan, 100);
-  for (const exec::ShardRange& shard : plan) {
-    EXPECT_GE(shard.size(), 8u);
-  }
-}
-
 TEST(PlanShards, OversubscribesForStealing) {
   const auto plan = exec::plan_shards(1000, 4);
   expect_valid_plan(plan, 1000);
@@ -215,22 +205,24 @@ TEST(CampaignEngine, EmptyCampaign) {
   EXPECT_EQ(parallel.verified_runs, 0u);
 }
 
-TEST(CampaignEngine, ProgressAndShardSink) {
+TEST(CampaignEngine, ProgressAndSampleSink) {
   const CampaignConfig config = small_config(Randomisation::kNone, 7);
   std::mutex mutex;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> progress;
   std::vector<exec::ShardRange> sunk_ranges;
-  std::size_t sunk_times = 0;
+  std::size_t sunk_samples = 0;
 
   exec::EngineOptions options = worker_options(2);
   options.progress = [&](std::uint64_t done, std::uint64_t total) {
     std::lock_guard<std::mutex> lock(mutex);
     progress.emplace_back(done, total);
   };
-  options.shard_sink = [&](const exec::ShardRange& range,
-                           std::span<const double> times) {
+  options.sample_sink = [&](const exec::ShardRange& range,
+                            std::span<const RunSample> samples,
+                            std::span<const obs::MetricsShard> run_metrics) {
     sunk_ranges.push_back(range); // sink calls are serialised by the engine
-    sunk_times += times.size();
+    sunk_samples += samples.size();
+    EXPECT_TRUE(run_metrics.empty()) << "metrics are off";
   };
   const CampaignResult result = exec::CampaignEngine(options).run(config);
   ASSERT_EQ(result.times.size(), 7u);
@@ -242,8 +234,8 @@ TEST(CampaignEngine, ProgressAndShardSink) {
     EXPECT_LE(done, total);
   }
 
-  // The sunk shards partition [0, 7) and carry every time exactly once.
-  EXPECT_EQ(sunk_times, 7u);
+  // The sunk shards partition [0, 7) and carry every sample exactly once.
+  EXPECT_EQ(sunk_samples, 7u);
   std::sort(sunk_ranges.begin(), sunk_ranges.end(),
             [](const auto& a, const auto& b) { return a.begin < b.begin; });
   expect_valid_plan(sunk_ranges, 7);

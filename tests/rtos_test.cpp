@@ -233,6 +233,26 @@ TEST(Hypervisor, ActivationRecordsCarryTimeline) {
   EXPECT_EQ(records[2].activation_index, 2u);
 }
 
+TEST(Hypervisor, PartitionNamesKeepRegistrationOrder) {
+  // Criticality reorders activations within a frame, not the names list
+  // per-partition reports are rendered in.
+  test::TestMachine machine(trivial_program(10));
+  CountingApp processing(machine, machine.image.entry_addr());
+  CountingApp control(machine, machine.image.entry_addr());
+  Hypervisor hv(machine.cpu, machine.hierarchy, HypervisorConfig{});
+  hv.add_partition(PartitionConfig{.name = "processing", .period_ms = 100},
+                   processing);
+  hv.add_partition(PartitionConfig{.name = "control",
+                                   .period_ms = 100,
+                                   .criticality = Criticality::kHigh},
+                   control);
+  EXPECT_EQ(hv.partition_names(),
+            (std::vector<std::string>{"processing", "control"}));
+  const auto records = hv.run_frames(1);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].partition, "control") << "high criticality first";
+}
+
 TEST(Hypervisor, RejectsOvercommittedSchedule) {
   // Regression: budgets were only checked against the frame individually,
   // so two partitions whose budgets jointly exceed the frame were accepted
