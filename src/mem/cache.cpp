@@ -37,15 +37,14 @@ Cache::Cache(CacheConfig config) : config_(std::move(config)) {
 }
 
 std::uint32_t Cache::set_index(std::uint32_t addr) const {
-  const std::uint32_t line = addr / config_.line_bytes;
+  const std::uint32_t line = tag_of(addr);
   switch (config_.placement) {
   case Placement::kModulo:
-    return line & (config_.sets() - 1);
+    return line & set_mask_;
   case Placement::kRandomHash:
     // Seeded hash placement: the per-run seed re-randomises the mapping the
     // way a hardware time-randomised cache does.
-    return static_cast<std::uint32_t>(mix64(line ^ hash_seed_)) &
-           (config_.sets() - 1);
+    return static_cast<std::uint32_t>(mix64(line ^ hash_seed_)) & set_mask_;
   }
   return 0;
 }
@@ -222,9 +221,9 @@ void Cache::invalidate_ranges(
   std::uint64_t span_lines = 0;
   for (const auto& [addr, length] : ranges) {
     if (length != 0) {
-      span_lines += (line_base(addr + length - 1) - line_base(addr)) /
-                        config_.line_bytes +
-                    1;
+      span_lines +=
+          ((line_base(addr + length - 1) - line_base(addr)) >> line_shift_) +
+          1;
     }
   }
   if (span_lines < lines_.size()) {

@@ -86,30 +86,42 @@ public:
   /// Read access (instruction fetch or data load).
   AccessResult read(std::uint32_t addr);
 
-  /// Inline clean-hit probe for the fast VM core.  Returns true — with the
-  /// hit fully accounted exactly as `read` would (hit counter, LRU bump) —
-  /// only for a valid, non-stale line under modulo placement.  Returns
-  /// false with NO state change otherwise; the caller must then perform
+  /// What `read_hit_fast` returns when it declines.
+  static constexpr std::uint32_t kNoSlot = 0xffff'ffff;
+
+  /// Inline clean-hit probe for the fast VM core.  For a valid, non-stale
+  /// line under modulo placement it accounts the hit exactly as `read`
+  /// would (hit counter, LRU bump) and returns the line's slot.  Otherwise
+  /// it returns kNoSlot with NO state change; the caller must then perform
   /// the full `read`.
-  bool read_hit_fast(std::uint32_t addr) {
+  std::uint32_t read_hit_fast(std::uint32_t addr) {
     if (config_.placement != Placement::kModulo) {
-      return false;
+      return kNoSlot;
     }
     const std::uint32_t tag = addr >> line_shift_;
-    Line* base = &lines_[static_cast<std::size_t>(tag & set_mask_) *
-                         config_.ways];
+    const std::uint32_t first = (tag & set_mask_) * config_.ways;
     for (std::uint32_t w = 0; w < config_.ways; ++w) {
-      Line& line = base[w];
+      Line& line = lines_[first + w];
       if (line.valid && line.tag == tag) {
         if (line.stale) {
-          return false; // coherence bookkeeping needs the slow path
+          return kNoSlot; // coherence bookkeeping needs the slow path
         }
         ++stats_.hits;
         line.last_use = ++use_clock_;
-        return true;
+        return first + w;
       }
     }
-    return false;
+    return kNoSlot;
+  }
+
+  /// Book `n` further clean read hits on the line in `slot`, as returned by
+  /// `read_hit_fast`: exactly the state `n` such hits leave behind.  The
+  /// memory hierarchy's same-line memo defers its hits and books them here
+  /// before anything else touches the cache.
+  void book_hits(std::uint32_t slot, std::uint64_t n) {
+    stats_.hits += n;
+    use_clock_ += n;
+    lines_[slot].last_use = use_clock_;
   }
 
   /// Inline write-hit probe, the store-path counterpart of
@@ -223,11 +235,11 @@ private:
     return addr & ~(config_.line_bytes - 1);
   }
   std::uint32_t tag_of(std::uint32_t addr) const {
-    return addr / config_.line_bytes;
+    return addr >> line_shift_;
   }
   /// Reconstruct a line's base address from its stored tag.
   std::uint32_t addr_of_tag(std::uint32_t tag) const {
-    return tag * config_.line_bytes;
+    return tag << line_shift_;
   }
 
   Line* find_line(std::uint32_t addr);
@@ -238,8 +250,8 @@ private:
   CacheConfig config_;
   CacheStats stats_;
   std::vector<Line> lines_; // sets * ways, row-major by set
-  /// Precomputed shift/mask for the inline hit probes (line size and set
-  /// count are validated powers of two at construction).
+  /// Precomputed shift/mask for every set and tag computation (line size
+  /// and set count are validated powers of two at construction).
   std::uint32_t line_shift_ = 5;
   std::uint32_t set_mask_ = 0;
   std::uint64_t use_clock_ = 0;

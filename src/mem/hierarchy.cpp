@@ -1,5 +1,6 @@
 #include "hierarchy.hpp"
 
+#include <bit>
 #include <sstream>
 
 namespace proxima::mem {
@@ -8,6 +9,11 @@ MemoryHierarchy::MemoryHierarchy(HierarchyConfig config)
     : il1_(std::move(config.il1)), dl1_(std::move(config.dl1)),
       l2_(std::move(config.l2)), itlb_(config.itlb), dtlb_(config.dtlb),
       latency_(config.latency) {}
+
+MemoryHierarchy::LineMemo::LineMemo(const Cache& l1, const Tlb& tlb)
+    : shift(static_cast<std::uint32_t>(
+          std::countr_zero(l1.config().line_bytes))),
+      fits_page(l1.config().line_bytes <= tlb.config().page_bytes) {}
 
 void MemoryHierarchy::on_stale_hit(const char* who, std::uint32_t addr) {
   ++counters_.coherence_violations;
@@ -40,6 +46,7 @@ std::uint32_t MemoryHierarchy::l2_fill(std::uint32_t addr) {
 }
 
 std::uint32_t MemoryHierarchy::fetch(std::uint32_t addr) {
+  fetch_memo_.settle(il1_, itlb_);
   std::uint32_t cycles = 0;
   if (!itlb_.access(addr)) {
     ++counters_.itlb_miss;
@@ -60,6 +67,7 @@ std::uint32_t MemoryHierarchy::fetch(std::uint32_t addr) {
 }
 
 std::uint32_t MemoryHierarchy::load(std::uint32_t addr) {
+  load_memo_.settle(dl1_, dtlb_);
   std::uint32_t cycles = 0;
   if (!dtlb_.access(addr)) {
     ++counters_.dtlb_miss;
@@ -83,6 +91,7 @@ std::uint32_t MemoryHierarchy::load(std::uint32_t addr) {
 std::uint32_t MemoryHierarchy::store(std::uint32_t addr,
                                      std::uint64_t current_cycle,
                                      std::uint32_t length) {
+  settle_for_store(addr, length);
   std::uint32_t cycles = 0;
   il1_.mark_stale(addr, length); // no I/D coherence on SPARC
   if (!dtlb_.access(addr)) {
@@ -162,6 +171,7 @@ std::uint32_t MemoryHierarchy::store_after_l2_probe(std::uint32_t addr,
 }
 
 void MemoryHierarchy::flush_l1s() {
+  settle_memos();
   il1_.invalidate_all();
   dl1_.invalidate_all();
   itlb_.flush();
@@ -170,6 +180,7 @@ void MemoryHierarchy::flush_l1s() {
 }
 
 void MemoryHierarchy::flush_all() {
+  settle_memos();
   std::vector<std::uint32_t> writebacks;
   il1_.invalidate_all();
   dl1_.invalidate_all();
@@ -183,6 +194,7 @@ void MemoryHierarchy::flush_all() {
 
 std::uint32_t MemoryHierarchy::invalidate_range(std::uint32_t addr,
                                                 std::uint32_t length) {
+  settle_memos();
   const std::uint64_t before = il1_.stats().invalidations +
                                dl1_.stats().invalidations +
                                l2_.stats().invalidations;
@@ -200,6 +212,7 @@ std::uint32_t MemoryHierarchy::invalidate_range(std::uint32_t addr,
 
 std::uint32_t MemoryHierarchy::invalidate_ranges(
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& ranges) {
+  settle_memos();
   const std::uint64_t before = il1_.stats().invalidations +
                                dl1_.stats().invalidations +
                                l2_.stats().invalidations;
@@ -217,12 +230,14 @@ std::uint32_t MemoryHierarchy::invalidate_ranges(
 
 void MemoryHierarchy::note_memory_written(std::uint32_t addr,
                                           std::uint32_t length) {
+  settle_memos();
   il1_.mark_stale(addr, length);
   dl1_.mark_stale(addr, length);
   l2_.mark_stale(addr, length);
 }
 
 void MemoryHierarchy::reseed(std::uint64_t seed) {
+  settle_memos();
   il1_.reseed(seed ^ 0x11U);
   dl1_.reseed(seed ^ 0x22U);
   l2_.reseed(seed ^ 0x33U);

@@ -66,37 +66,52 @@ public:
   // dispatch loop never takes a call; every other case falls through to
   // the out-of-line continuations, which are the same code the slow
   // entry points use.  The differential VM suite pins the equivalence.
+  //
+  // On top of that, a same-line memo: once a fetch (load) resolves as a
+  // TLB hit and a clean L1 hit, later fetches (loads) in that L1 line only
+  // count the access and a pending hit.  The pending hits are booked into
+  // the L1 and TLB in one step before anything else reads or changes them
+  // (DESIGN.md §3.4 lists every settle point).
   // -------------------------------------------------------------------
 
   std::uint32_t fetch_fast(std::uint32_t addr) {
+    ++counters_.icache_access;
+    if (fetch_memo_.hit(addr)) [[likely]] {
+      return 0;
+    }
+    fetch_memo_.settle(il1_, itlb_);
     if (itlb_.access_fast(addr)) [[likely]] {
-      ++counters_.icache_access;
-      if (il1_.read_hit_fast(addr)) [[likely]] {
+      const std::uint32_t slot = il1_.read_hit_fast(addr);
+      if (slot != Cache::kNoSlot) [[likely]] {
+        fetch_memo_.arm(addr, slot);
         return 0;
       }
       return fetch_after_itlb(addr);
     }
     ++counters_.itlb_miss;
-    ++counters_.icache_access;
-    if (il1_.read_hit_fast(addr)) {
+    if (il1_.read_hit_fast(addr) != Cache::kNoSlot) {
       return latency_.tlb_walk;
     }
     return latency_.tlb_walk + fetch_after_itlb(addr);
   }
 
   std::uint32_t load_fast(std::uint32_t addr) {
+    ++counters_.dcache_access;
+    ++counters_.loads;
+    if (load_memo_.hit(addr)) [[likely]] {
+      return 0;
+    }
+    load_memo_.settle(dl1_, dtlb_);
     if (dtlb_.access_fast(addr)) [[likely]] {
-      ++counters_.dcache_access;
-      ++counters_.loads;
-      if (dl1_.read_hit_fast(addr)) [[likely]] {
+      const std::uint32_t slot = dl1_.read_hit_fast(addr);
+      if (slot != Cache::kNoSlot) [[likely]] {
+        load_memo_.arm(addr, slot);
         return 0;
       }
       return load_after_dtlb(addr);
     }
     ++counters_.dtlb_miss;
-    ++counters_.dcache_access;
-    ++counters_.loads;
-    if (dl1_.read_hit_fast(addr)) {
+    if (dl1_.read_hit_fast(addr) != Cache::kNoSlot) {
       return latency_.tlb_walk;
     }
     return latency_.tlb_walk + load_after_dtlb(addr);
@@ -104,6 +119,7 @@ public:
 
   std::uint32_t store_fast(std::uint32_t addr, std::uint64_t current_cycle,
                            std::uint32_t length = 4) {
+    settle_for_store(addr, length);
     std::uint32_t cycles = 0;
     il1_.mark_stale_fast(addr, length); // no I/D coherence on SPARC
     if (!dtlb_.access_fast(addr)) [[unlikely]] {
@@ -173,14 +189,95 @@ public:
   PerfCounters& counters() noexcept { return counters_; }
   const PerfCounters& counters() const noexcept { return counters_; }
 
-  Cache& il1() noexcept { return il1_; }
-  Cache& dl1() noexcept { return dl1_; }
+  // Reaching into an L1 or TLB books that side's pending memo hits first,
+  // so the caller sees exactly the state the slow entry points leave.
+  Cache& il1() noexcept {
+    fetch_memo_.settle(il1_, itlb_);
+    return il1_;
+  }
+  Cache& dl1() noexcept {
+    load_memo_.settle(dl1_, dtlb_);
+    return dl1_;
+  }
   Cache& l2() noexcept { return l2_; }
-  Tlb& itlb() noexcept { return itlb_; }
-  Tlb& dtlb() noexcept { return dtlb_; }
+  Tlb& itlb() noexcept {
+    fetch_memo_.settle(il1_, itlb_);
+    return itlb_;
+  }
+  Tlb& dtlb() noexcept {
+    load_memo_.settle(dl1_, dtlb_);
+    return dtlb_;
+  }
   const LatencyConfig& latency() const noexcept { return latency_; }
 
 private:
+  /// The same-line memo of one L1/TLB pair: the L1 line of the last access
+  /// that resolved as a TLB hit plus a clean L1 hit, the line's slot, and
+  /// the hits taken on it since then that are not yet booked.
+  struct LineMemo {
+    static constexpr std::uint64_t kOff = ~std::uint64_t{0};
+
+    LineMemo(const Cache& l1, const Tlb& tlb);
+
+    /// One more access to the memo line: counted as pending.
+    bool hit(std::uint32_t addr) {
+      if ((addr >> shift) == line) {
+        ++pending;
+        return true;
+      }
+      return false;
+    }
+
+    void arm(std::uint32_t addr, std::uint32_t l1_slot) {
+      if (fits_page) {
+        line = addr >> shift;
+        slot = l1_slot;
+      }
+    }
+
+    /// Book the pending hits (each counter grows by n, each use clock
+    /// advances by n, the line and the TLB's MRU entry carry the final
+    /// stamp) and disarm.
+    void settle(Cache& l1, Tlb& tlb) {
+      if (pending != 0) {
+        tlb.book_mru_hits(pending);
+        l1.book_hits(slot, pending);
+        pending = 0;
+      }
+      line = kOff;
+    }
+
+    /// True if [addr, addr+length) may overlap the memo line.
+    bool touches(std::uint32_t addr, std::uint32_t length) const {
+      if (line == kOff) {
+        return false;
+      }
+      const auto base = static_cast<std::uint32_t>(line << shift);
+      return addr - base < (std::uint32_t{1} << shift) || base - addr < length;
+    }
+
+    std::uint64_t line = kOff; // addr >> shift of the memo line, or kOff
+    std::uint64_t pending = 0;
+    std::uint32_t slot = 0;  // the line's slot in the L1
+    std::uint32_t shift = 0; // log2 of the L1 line size
+    /// An L1 line lies within one TLB page, so a same-line access is a
+    /// same-page access.  Never false on a real configuration.
+    bool fits_page = false;
+  };
+
+  /// A store moves the DTLB's MRU entry and the DL1's LRU state, and
+  /// stales any IL1 line it touches.
+  void settle_for_store(std::uint32_t addr, std::uint32_t length) {
+    load_memo_.settle(dl1_, dtlb_);
+    if (fetch_memo_.touches(addr, length)) {
+      fetch_memo_.settle(il1_, itlb_);
+    }
+  }
+  void settle_memos() {
+    fetch_memo_.settle(il1_, itlb_);
+    load_memo_.settle(dl1_, dtlb_);
+  }
+
   /// Unified-L2 read on the fill path (from an L1 miss).  Returns stall
   /// cycles contributed by the L2 and DRAM.
   std::uint32_t l2_fill(std::uint32_t addr);
@@ -203,6 +300,8 @@ private:
   Tlb dtlb_;
   LatencyConfig latency_;
   PerfCounters counters_;
+  LineMemo fetch_memo_{il1_, itlb_};
+  LineMemo load_memo_{dl1_, dtlb_};
   std::uint64_t store_buffer_free_at_ = 0;
   bool strict_ = false;
 };

@@ -1,32 +1,31 @@
 #include "tlb.hpp"
 
 #include <bit>
+#include <stdexcept>
 
 namespace proxima::mem {
 
 Tlb::Tlb(TlbConfig config) : config_(config) {
+  if (config_.entries == 0) {
+    throw std::invalid_argument("TLB: entries must be >= 1");
+  }
+  if (!std::has_single_bit(config_.page_bytes)) {
+    throw std::invalid_argument("TLB: page size must be a power of two");
+  }
   entries_.resize(config_.entries);
-  // The MRU memo needs a shift-expressible page size; with an exotic
-  // non-power-of-two configuration the memo stays disabled and every
-  // access takes the full scan (timing and stats are unaffected).
-  memo_ok_ = config_.page_bytes != 0 && std::has_single_bit(config_.page_bytes);
-  page_shift_ = memo_ok_
-                    ? static_cast<std::uint32_t>(
-                          std::countr_zero(config_.page_bytes))
-                    : 0;
+  page_shift_ =
+      static_cast<std::uint32_t>(std::countr_zero(config_.page_bytes));
 }
 
 bool Tlb::access(std::uint32_t addr) {
-  const std::uint32_t page = addr / config_.page_bytes;
+  const std::uint32_t page = addr >> page_shift_;
   Entry* free_entry = nullptr;
   Entry* lru = &entries_[0];
   for (Entry& entry : entries_) {
     if (entry.valid && entry.page == page) {
       entry.last_use = ++use_clock_;
       ++stats_.hits;
-      if (memo_ok_) {
-        mru_index_ = static_cast<std::uint32_t>(&entry - entries_.data());
-      }
+      mru_index_ = static_cast<std::uint32_t>(&entry - entries_.data());
       return true;
     }
     if (!entry.valid && free_entry == nullptr) {
@@ -41,14 +40,12 @@ bool Tlb::access(std::uint32_t addr) {
   victim.valid = true;
   victim.page = page;
   victim.last_use = ++use_clock_;
-  if (memo_ok_) {
-    mru_index_ = static_cast<std::uint32_t>(&victim - entries_.data());
-  }
+  mru_index_ = static_cast<std::uint32_t>(&victim - entries_.data());
   return false;
 }
 
 bool Tlb::contains(std::uint32_t addr) const {
-  const std::uint32_t page = addr / config_.page_bytes;
+  const std::uint32_t page = addr >> page_shift_;
   for (const Entry& entry : entries_) {
     if (entry.valid && entry.page == page) {
       return true;

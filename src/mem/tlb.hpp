@@ -26,6 +26,8 @@ struct TlbStats {
 
 class Tlb {
 public:
+  /// Throws std::invalid_argument unless `entries >= 1` and `page_bytes`
+  /// is a power of two.
   explicit Tlb(TlbConfig config = {});
 
   /// Touch the page holding `addr`; returns true on hit.  Fully associative
@@ -48,6 +50,16 @@ public:
       }
     }
     return access(addr);
+  }
+
+  /// Book `n` further hits on the most-recently-used entry: exactly the
+  /// state `n` memo hits of `access_fast` on that entry leave behind.  The
+  /// memory hierarchy's same-line memo defers its hits and books them here
+  /// before anything else touches the TLB.  Requires a live MRU entry.
+  void book_mru_hits(std::uint64_t n) {
+    stats_.hits += n;
+    use_clock_ += n;
+    entries_[mru_index_].last_use = use_clock_;
   }
 
   /// True if the page holding `addr` is resident (no state change).
@@ -77,7 +89,6 @@ private:
   /// index (not a pointer) so the default copy stays valid.
   std::uint32_t mru_index_ = kNoMru;
   std::uint32_t page_shift_ = 12;
-  bool memo_ok_ = true;
 };
 
 } // namespace proxima::mem

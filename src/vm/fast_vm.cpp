@@ -7,7 +7,9 @@
 // and Clang (a dense switch elsewhere), and the memory-hierarchy timing
 // probes use the inlined L1/TLB hit fast paths (mem::MemoryHierarchy::
 // fetch_fast/load_fast/store_fast), so the common case — TLB memo hit,
-// clean L1 hit, ALU or branch op — never leaves the dispatch loop.
+// clean L1 hit, ALU or branch op — never leaves the dispatch loop, and a
+// fetch or load in the same L1 line as the one before costs one compare.
+// The cycle and instruction counts stay in registers between sync points.
 //
 // CORRECTNESS CONTRACT: this core must be *bit-identical* to the reference
 // interpreter in reference_vm.cpp — same cycles, same instruction counts,
@@ -75,6 +77,27 @@ RunResult Vm::run_fast(std::uint64_t cycle_budget) {
   // is off, so the hot path pays one never-taken branch.
   TaintState* const taint = taint_.get();
 
+  // The cycle and retired-instruction counts live in locals.  `cycles_`,
+  // `instructions_` and `ctr.instructions` are written back by `sync`
+  // before every return and every call that reads or charges them (the
+  // taint hook, the ipoint and reloc sinks, window traps), and `resume`
+  // re-reads what the call charged.  A throw leaves the members exact: the
+  // catch at the end syncs unless the throw came from inside such a call,
+  // where the members were already live.
+  std::uint64_t cycles = cycles_;
+  std::uint64_t instructions = instructions_;
+  bool members_live = false;
+  auto sync = [&] {
+    cycles_ = cycles;
+    ctr.instructions += instructions - instructions_;
+    instructions_ = instructions;
+    members_live = true;
+  };
+  auto resume = [&] {
+    cycles = cycles_;
+    members_live = false;
+  };
+
   // Inline register-file access through the window map (rebuilt by
   // save_window/restore_window), mirroring visible/visible_value/set_reg.
   // Decoded register fields are 5 bits wide, so every index is < 32.
@@ -114,7 +137,7 @@ RunResult Vm::run_fast(std::uint64_t cycle_budget) {
     if (condition) {
       pc_ = static_cast<std::uint32_t>(static_cast<std::int64_t>(pc_) +
                                        std::int64_t{4} * disp_words);
-      cycles_ += cfg.branch_taken_penalty;
+      cycles += cfg.branch_taken_penalty;
     } else {
       pc_ += 4;
     }
@@ -143,20 +166,26 @@ RunResult Vm::run_fast(std::uint64_t cycle_budget) {
 #endif
 #define VM_NEXT() goto next_instruction
 
+  // The dispatch loop below stays at function indentation; it all sits in
+  // this try, whose catch only writes the counts back and rethrows.
+  try {
 next_instruction:
   if (halted_) {
+    sync();
     return RunResult{RunResult::Stop::kHalt, instructions_, cycles_};
   }
-  if (instructions_ >= cfg.max_instructions) [[unlikely]] {
+  if (instructions >= cfg.max_instructions) [[unlikely]] {
+    sync();
     return RunResult{RunResult::Stop::kInstructionLimit, instructions_,
                      cycles_};
   }
-  if (cycle_budget != 0 && cycles_ >= cycle_budget) [[unlikely]] {
+  if (cycle_budget != 0 && cycles >= cycle_budget) [[unlikely]] {
+    sync();
     return RunResult{RunResult::Stop::kCycleBudget, instructions_, cycles_};
   }
   // Fetch: timing through the inline hit path, the op out of the decode
   // cache (no guest-memory read, no format switch on the hot path).
-  cycles_ += 1 + hier.fetch_fast(pc_);
+  cycles += 1 + hier.fetch_fast(pc_);
   op = &decode.at(pc_, memory_);
   if (op->handler >= static_cast<std::uint8_t>(Opcode::kOpcodeCount))
       [[unlikely]] {
@@ -170,8 +199,7 @@ next_instruction:
       fault(e.what());
     }
   }
-  ++instructions_;
-  ++ctr.instructions;
+  ++instructions;
   if (op->handler >= static_cast<std::uint8_t>(Opcode::kFaddd) &&
       op->handler <= static_cast<std::uint8_t>(Opcode::kFabsd)) {
     ++ctr.fpu_ops;
@@ -182,8 +210,10 @@ next_instruction:
   if (taint != nullptr) {
     // Same shared transfer function the reference core runs, before the
     // handler mutates the operands (taint_vm.cpp).
+    sync();
     taint_execute(Instruction{static_cast<Opcode>(op->handler), op->rd,
                               op->rs1, op->rs2, op->imm});
+    resume();
   }
   VM_DISPATCH();
 
@@ -242,7 +272,7 @@ next_instruction:
        static_cast<std::uint32_t>(
            static_cast<std::int64_t>(static_cast<std::int32_t>(rv(op->rs1))) *
            static_cast<std::int32_t>(rv(op->rs2))));
-    cycles_ += cfg.mul_cycles - 1;
+    cycles += cfg.mul_cycles - 1;
     pc_ += 4;
     VM_NEXT();
   }
@@ -254,7 +284,7 @@ next_instruction:
     const auto dividend = static_cast<std::int32_t>(rv(op->rs1));
     const std::int64_t q = static_cast<std::int64_t>(dividend) / divisor;
     wr(op->rd, static_cast<std::uint32_t>(q));
-    cycles_ += cfg.div_cycles - 1;
+    cycles += cfg.div_cycles - 1;
     pc_ += 4;
     VM_NEXT();
   }
@@ -332,7 +362,7 @@ next_instruction:
        static_cast<std::uint32_t>(
            static_cast<std::int64_t>(static_cast<std::int32_t>(rv(op->rs1))) *
            op->imm));
-    cycles_ += cfg.mul_cycles - 1;
+    cycles += cfg.mul_cycles - 1;
     pc_ += 4;
     VM_NEXT();
   }
@@ -344,7 +374,7 @@ next_instruction:
         static_cast<std::int64_t>(static_cast<std::int32_t>(rv(op->rs1))) /
         op->imm;
     wr(op->rd, static_cast<std::uint32_t>(q));
-    cycles_ += cfg.div_cycles - 1;
+    cycles += cfg.div_cycles - 1;
     pc_ += 4;
     VM_NEXT();
   }
@@ -384,7 +414,7 @@ next_instruction:
     if (addr % 4 != 0) {
       fault("misaligned word load");
     }
-    cycles_ += cfg.load_use_cycles + hier.load_fast(addr);
+    cycles += cfg.load_use_cycles + hier.load_fast(addr);
     wr(op->rd, memory_.read_u32(addr));
     pc_ += 4;
     VM_NEXT();
@@ -394,7 +424,7 @@ next_instruction:
     if (addr % 4 != 0) {
       fault("misaligned word load");
     }
-    cycles_ += cfg.load_use_cycles + hier.load_fast(addr);
+    cycles += cfg.load_use_cycles + hier.load_fast(addr);
     wr(op->rd, memory_.read_u32(addr));
     pc_ += 4;
     VM_NEXT();
@@ -405,7 +435,7 @@ next_instruction:
       fault("misaligned word store");
     }
     memory_.write_u32(addr, rv(op->rd));
-    cycles_ += hier.store_fast(addr, cycles_, 4);
+    cycles += hier.store_fast(addr, cycles, 4);
     pc_ += 4;
     VM_NEXT();
   }
@@ -415,20 +445,20 @@ next_instruction:
       fault("misaligned word store");
     }
     memory_.write_u32(addr, rv(op->rd));
-    cycles_ += hier.store_fast(addr, cycles_, 4);
+    cycles += hier.store_fast(addr, cycles, 4);
     pc_ += 4;
     VM_NEXT();
   }
   VM_CASE(kLdb) {
     const std::uint32_t addr = rv(op->rs1) + static_cast<std::uint32_t>(op->imm);
-    cycles_ += cfg.load_use_cycles + hier.load_fast(addr);
+    cycles += cfg.load_use_cycles + hier.load_fast(addr);
     wr(op->rd, memory_.read_u8(addr));
     pc_ += 4;
     VM_NEXT();
   }
   VM_CASE(kLdbx) {
     const std::uint32_t addr = rv(op->rs1) + rv(op->rs2);
-    cycles_ += cfg.load_use_cycles + hier.load_fast(addr);
+    cycles += cfg.load_use_cycles + hier.load_fast(addr);
     wr(op->rd, memory_.read_u8(addr));
     pc_ += 4;
     VM_NEXT();
@@ -436,14 +466,14 @@ next_instruction:
   VM_CASE(kStb) {
     const std::uint32_t addr = rv(op->rs1) + static_cast<std::uint32_t>(op->imm);
     memory_.write_u8(addr, static_cast<std::uint8_t>(rv(op->rd)));
-    cycles_ += hier.store_fast(addr, cycles_, 1);
+    cycles += hier.store_fast(addr, cycles, 1);
     pc_ += 4;
     VM_NEXT();
   }
   VM_CASE(kStbx) {
     const std::uint32_t addr = rv(op->rs1) + rv(op->rs2);
     memory_.write_u8(addr, static_cast<std::uint8_t>(rv(op->rd)));
-    cycles_ += hier.store_fast(addr, cycles_, 1);
+    cycles += hier.store_fast(addr, cycles, 1);
     pc_ += 4;
     VM_NEXT();
   }
@@ -455,7 +485,7 @@ next_instruction:
     if (op->rd % 2 != 0) {
       fault("ldd destination must be an even register");
     }
-    cycles_ += cfg.load_use_cycles + hier.load_fast(addr);
+    cycles += cfg.load_use_cycles + hier.load_fast(addr);
     wr(op->rd, memory_.read_u32(addr));
     wr(static_cast<std::uint8_t>(op->rd + 1), memory_.read_u32(addr + 4));
     pc_ += 4;
@@ -469,7 +499,7 @@ next_instruction:
     if (op->rd % 2 != 0) {
       fault("ldd destination must be an even register");
     }
-    cycles_ += cfg.load_use_cycles + hier.load_fast(addr);
+    cycles += cfg.load_use_cycles + hier.load_fast(addr);
     wr(op->rd, memory_.read_u32(addr));
     wr(static_cast<std::uint8_t>(op->rd + 1), memory_.read_u32(addr + 4));
     pc_ += 4;
@@ -485,7 +515,7 @@ next_instruction:
     }
     memory_.write_u32(addr, rv(op->rd));
     memory_.write_u32(addr + 4, rv(static_cast<std::uint8_t>(op->rd + 1)));
-    cycles_ += hier.store_fast(addr, cycles_, 8);
+    cycles += hier.store_fast(addr, cycles, 8);
     pc_ += 4;
     VM_NEXT();
   }
@@ -499,7 +529,7 @@ next_instruction:
     }
     memory_.write_u32(addr, rv(op->rd));
     memory_.write_u32(addr + 4, rv(static_cast<std::uint8_t>(op->rd + 1)));
-    cycles_ += hier.store_fast(addr, cycles_, 8);
+    cycles += hier.store_fast(addr, cycles, 8);
     pc_ += 4;
     VM_NEXT();
   }
@@ -508,7 +538,7 @@ next_instruction:
     if (addr % 8 != 0) {
       fault("misaligned fp load");
     }
-    cycles_ += cfg.load_use_cycles + hier.load_fast(addr);
+    cycles += cfg.load_use_cycles + hier.load_fast(addr);
     set_freg(op->rd, memory_.read_f64(addr));
     pc_ += 4;
     VM_NEXT();
@@ -518,7 +548,7 @@ next_instruction:
     if (addr % 8 != 0) {
       fault("misaligned fp load");
     }
-    cycles_ += cfg.load_use_cycles + hier.load_fast(addr);
+    cycles += cfg.load_use_cycles + hier.load_fast(addr);
     set_freg(op->rd, memory_.read_f64(addr));
     pc_ += 4;
     VM_NEXT();
@@ -529,7 +559,7 @@ next_instruction:
       fault("misaligned fp store");
     }
     memory_.write_f64(addr, freg(op->rd));
-    cycles_ += hier.store_fast(addr, cycles_, 8);
+    cycles += hier.store_fast(addr, cycles, 8);
     pc_ += 4;
     VM_NEXT();
   }
@@ -539,7 +569,7 @@ next_instruction:
       fault("misaligned fp store");
     }
     memory_.write_f64(addr, freg(op->rd));
-    cycles_ += hier.store_fast(addr, cycles_, 8);
+    cycles += hier.store_fast(addr, cycles, 8);
     pc_ += 4;
     VM_NEXT();
   }
@@ -555,7 +585,7 @@ next_instruction:
         (rv(op->rs1) + static_cast<std::uint32_t>(op->imm)) & ~3U;
     wr(op->rd, pc_);
     pc_ = target;
-    cycles_ += cfg.branch_taken_penalty;
+    cycles += cfg.branch_taken_penalty;
     VM_NEXT();
   }
   VM_CASE(kBa) {
@@ -647,7 +677,9 @@ next_instruction:
     const std::uint32_t value =
         rv(op->rs1) + static_cast<std::uint32_t>(op->imm);
     const std::uint8_t rd = op->rd; // a spill store may invalidate `op`
+    sync(); // a window overflow trap spills through the hierarchy
     save_window();
+    resume();
     wr(rd, value);
     pc_ += 4;
     VM_NEXT();
@@ -655,7 +687,9 @@ next_instruction:
   VM_CASE(kSavex) {
     const std::uint32_t value = rv(op->rs1) + rv(op->rs2);
     const std::uint8_t rd = op->rd;
+    sync(); // a window overflow trap spills through the hierarchy
     save_window();
+    resume();
     wr(rd, value);
     pc_ += 4;
     VM_NEXT();
@@ -663,7 +697,9 @@ next_instruction:
   VM_CASE(kRestore) {
     const std::uint32_t value = rv(op->rs1) + rv(op->rs2);
     const std::uint8_t rd = op->rd;
+    sync(); // a window underflow trap fills through the hierarchy
     restore_window();
+    resume();
     wr(rd, value);
     pc_ += 4;
     VM_NEXT();
@@ -673,7 +709,7 @@ next_instruction:
   VM_CASE(kFaddd) {
     const double a = freg(op->rs1);
     const double b = freg(op->rs2);
-    cycles_ += cfg.fp_add_cycles - 1 + fp_extra_cycles(Opcode::kFaddd, a, b);
+    cycles += cfg.fp_add_cycles - 1 + fp_extra_cycles(Opcode::kFaddd, a, b);
     set_freg(op->rd, a + b);
     pc_ += 4;
     VM_NEXT();
@@ -681,7 +717,7 @@ next_instruction:
   VM_CASE(kFsubd) {
     const double a = freg(op->rs1);
     const double b = freg(op->rs2);
-    cycles_ += cfg.fp_add_cycles - 1 + fp_extra_cycles(Opcode::kFsubd, a, b);
+    cycles += cfg.fp_add_cycles - 1 + fp_extra_cycles(Opcode::kFsubd, a, b);
     set_freg(op->rd, a - b);
     pc_ += 4;
     VM_NEXT();
@@ -689,7 +725,7 @@ next_instruction:
   VM_CASE(kFmuld) {
     const double a = freg(op->rs1);
     const double b = freg(op->rs2);
-    cycles_ += cfg.fp_mul_cycles - 1 + fp_extra_cycles(Opcode::kFmuld, a, b);
+    cycles += cfg.fp_mul_cycles - 1 + fp_extra_cycles(Opcode::kFmuld, a, b);
     set_freg(op->rd, a * b);
     pc_ += 4;
     VM_NEXT();
@@ -697,14 +733,14 @@ next_instruction:
   VM_CASE(kFdivd) {
     const double a = freg(op->rs1);
     const double b = freg(op->rs2);
-    cycles_ += cfg.fp_div_cycles - 1 + fp_extra_cycles(Opcode::kFdivd, a, b);
+    cycles += cfg.fp_div_cycles - 1 + fp_extra_cycles(Opcode::kFdivd, a, b);
     set_freg(op->rd, a / b);
     pc_ += 4;
     VM_NEXT();
   }
   VM_CASE(kFsqrtd) {
     const double a = freg(op->rs1);
-    cycles_ += cfg.fp_sqrt_cycles - 1 + fp_extra_cycles(Opcode::kFsqrtd, a, 1.0);
+    cycles += cfg.fp_sqrt_cycles - 1 + fp_extra_cycles(Opcode::kFsqrtd, a, 1.0);
     set_freg(op->rd, std::sqrt(a));
     pc_ += 4;
     VM_NEXT();
@@ -712,7 +748,7 @@ next_instruction:
   VM_CASE(kFcmpd) {
     const double a = freg(op->rs1);
     const double b = freg(op->rs2);
-    cycles_ += cfg.fp_add_cycles - 1;
+    cycles += cfg.fp_add_cycles - 1;
     if (std::isnan(a) || std::isnan(b)) {
       fcc_ = FpCondition::kUnordered;
     } else if (a < b) {
@@ -726,14 +762,14 @@ next_instruction:
     VM_NEXT();
   }
   VM_CASE(kFitod) {
-    cycles_ += cfg.fp_add_cycles - 1;
+    cycles += cfg.fp_add_cycles - 1;
     set_freg(op->rd,
              static_cast<double>(static_cast<std::int32_t>(rv(op->rs1))));
     pc_ += 4;
     VM_NEXT();
   }
   VM_CASE(kFdtoi) {
-    cycles_ += cfg.fp_add_cycles - 1;
+    cycles += cfg.fp_add_cycles - 1;
     const double value = freg(op->rs1);
     wr(op->rd, static_cast<std::uint32_t>(static_cast<std::int32_t>(value)));
     pc_ += 4;
@@ -757,15 +793,17 @@ next_instruction:
 
   // ---- platform ----
   VM_CASE(kRdtick) {
-    wr(op->rd, static_cast<std::uint32_t>(cycles_));
+    wr(op->rd, static_cast<std::uint32_t>(cycles));
     pc_ += 4;
     VM_NEXT();
   }
   VM_CASE(kIpoint) {
     const std::uint32_t id = static_cast<std::uint32_t>(op->imm);
-    cycles_ += cfg.ipoint_cycles;
+    cycles += cfg.ipoint_cycles;
     if (ipoint_sink_) {
+      sync();
       ipoint_sink_(id, cycles_);
+      resume();
     }
     pc_ += 4;
     VM_NEXT();
@@ -773,7 +811,7 @@ next_instruction:
   VM_CASE(kFlush) {
     const std::uint32_t addr = rv(op->rs1) + static_cast<std::uint32_t>(op->imm);
     hier.invalidate_range(addr, 1);
-    cycles_ += cfg.flush_cycles;
+    cycles += cfg.flush_cycles;
     pc_ += 4;
     VM_NEXT();
   }
@@ -784,17 +822,25 @@ next_instruction:
   }
   VM_CASE(kTrapReloc) {
     const std::uint32_t id = static_cast<std::uint32_t>(op->imm);
-    cycles_ += cfg.trap_cycles;
+    cycles += cfg.trap_cycles;
     if (!reloc_trap_sink_) {
       fault("trapreloc without a registered DSR runtime");
     }
     // The sink rewrites code (relocation) — `op` may be invalidated from
     // here on, which is why `id` was copied first.
+    sync();
     cycles_ += reloc_trap_sink_(id);
+    resume();
     pc_ += 4;
     VM_NEXT();
   }
   VM_END_DISPATCH()
+  } catch (...) {
+    if (!members_live) {
+      sync();
+    }
+    throw;
+  }
 
 #undef VM_CASE
 #undef VM_DISPATCH

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
 namespace {
 
+using proxima::mem::Cache;
+using proxima::mem::CacheStats;
 using proxima::mem::CoherenceError;
 using proxima::mem::HierarchyConfig;
 using proxima::mem::LatencyConfig;
@@ -13,6 +18,8 @@ using proxima::mem::leon3_hw_randomised_config;
 using proxima::mem::MemoryHierarchy;
 using proxima::mem::Placement;
 using proxima::mem::Replacement;
+using proxima::mem::Tlb;
+using proxima::mem::TlbStats;
 
 TEST(Leon3Config, MatchesPaperGeometry) {
   const HierarchyConfig config = leon3_hierarchy_config();
@@ -220,6 +227,174 @@ TEST(Hierarchy, HwRandomisedLayoutChangesAcrossSeeds) {
   // Probability of conflict per seed is 1/1024; 32 seeds virtually never
   // all conflict (modulo placement would make conflicts == kSeeds).
   EXPECT_LT(conflicts, kSeeds / 2);
+}
+
+// Everything two hierarchies count: the PerfCounters and every level's
+// cache and TLB statistics.
+void expect_same_accounting(MemoryHierarchy& fast, MemoryHierarchy& slow,
+                            const std::string& label) {
+  EXPECT_TRUE(fast.counters() == slow.counters()) << label;
+  const auto same_cache = [&](Cache& a, Cache& b, const char* level) {
+    const CacheStats& x = a.stats();
+    const CacheStats& y = b.stats();
+    EXPECT_EQ(x.hits, y.hits) << label << " " << level;
+    EXPECT_EQ(x.misses, y.misses) << label << " " << level;
+    EXPECT_EQ(x.evictions, y.evictions) << label << " " << level;
+    EXPECT_EQ(x.writebacks, y.writebacks) << label << " " << level;
+    EXPECT_EQ(x.write_through, y.write_through) << label << " " << level;
+    EXPECT_EQ(x.stale_hits, y.stale_hits) << label << " " << level;
+    EXPECT_EQ(x.invalidations, y.invalidations) << label << " " << level;
+  };
+  same_cache(fast.il1(), slow.il1(), "IL1");
+  same_cache(fast.dl1(), slow.dl1(), "DL1");
+  same_cache(fast.l2(), slow.l2(), "L2");
+  const auto same_tlb = [&](Tlb& a, Tlb& b, const char* level) {
+    const TlbStats& x = a.stats();
+    const TlbStats& y = b.stats();
+    EXPECT_EQ(x.hits, y.hits) << label << " " << level;
+    EXPECT_EQ(x.misses, y.misses) << label << " " << level;
+  };
+  same_tlb(fast.itlb(), slow.itlb(), "ITLB");
+  same_tlb(fast.dtlb(), slow.dtlb(), "DTLB");
+}
+
+// The fast core's inline entry points (fetch_fast/load_fast/store_fast)
+// against the slow ones (fetch/load/store) on one random access stream,
+// interleaved with everything else that reads or changes the L1s and TLBs
+// mid-run: rewrites behind the caches, the invalidation routine, partition
+// flushes, a direct IL1 invalidation, and guest stores into code.  Code and
+// data each span 96 4-KiB pages, beyond the IL1 size and the 64-page TLB
+// reach, so hits, misses, TLB evictions and stale lines all occur.
+void expect_inline_paths_match_slow_paths(const HierarchyConfig& config,
+                                          int seeds, int steps) {
+  constexpr std::uint32_t kCode = 0x4000'0000;
+  constexpr std::uint32_t kData = 0x4020'0000;
+  constexpr std::uint32_t kSpan = 96 * 4096;
+  for (int seed = 0; seed < seeds; ++seed) {
+    MemoryHierarchy fast(config);
+    MemoryHierarchy slow(config);
+    std::mt19937 rng(static_cast<std::uint32_t>(seed));
+    // A word-aligned address near `addr` (within 2 KiB) inside [base,
+    // base + kSpan), or anywhere in it for one draw in 32.
+    const auto move = [&](std::uint32_t addr, std::uint32_t base) {
+      const std::uint32_t offset =
+          rng() % 32 == 0 ? rng() % kSpan
+                          : (addr - base + kSpan + rng() % 4096 - 2048) % kSpan;
+      return base + (offset & ~3U);
+    };
+    std::uint32_t pc = kCode;
+    std::uint32_t data = kData;
+    std::uint64_t now = 0;
+    for (int step = 0; step < steps; ++step) {
+      const std::uint32_t draw = rng() % 1000;
+      std::uint32_t fast_cycles = 0;
+      std::uint32_t slow_cycles = 0;
+      if (draw < 600) {
+        fast_cycles = fast.fetch_fast(pc);
+        slow_cycles = slow.fetch(pc);
+        pc = rng() % 16 == 0 ? move(pc, kCode) : pc + 4;
+        if (pc >= kCode + kSpan) {
+          pc = kCode;
+        }
+      } else if (draw < 800) {
+        fast_cycles = fast.load_fast(data);
+        slow_cycles = slow.load(data);
+        data = rng() % 4 == 0 ? move(data, kData) : data + 4;
+        if (data >= kData + kSpan) {
+          data = kData;
+        }
+      } else if (draw < 920) {
+        // One store in eight lands in the code just ahead of the pc.
+        const std::uint32_t length = 1U << (rng() % 4); // 1, 2, 4 or 8
+        const std::uint32_t addr =
+            (rng() % 8 == 0 ? pc + 4 * (rng() % 8) : move(data, kData)) &
+            ~(length - 1);
+        fast_cycles = fast.store_fast(addr, now, length);
+        slow_cycles = slow.store(addr, now, length);
+      } else {
+        // Range operations around the pc or the data pointer.
+        const std::uint32_t around = rng() % 2 == 0 ? pc : data;
+        const std::uint32_t addr = around - 64 + rng() % 128;
+        const std::uint32_t length = 1 + rng() % 128;
+        if (draw < 960) {
+          fast.note_memory_written(addr, length);
+          slow.note_memory_written(addr, length);
+        } else if (draw < 990) {
+          ASSERT_EQ(fast.invalidate_range(addr, length),
+                    slow.invalidate_range(addr, length))
+              << "seed " << seed << " step " << step;
+        } else if (draw < 995) {
+          fast.flush_l1s();
+          slow.flush_l1s();
+        } else {
+          fast.il1().invalidate_all();
+          slow.il1().invalidate_all();
+        }
+      }
+      ASSERT_EQ(fast_cycles, slow_cycles)
+          << "seed " << seed << " step " << step;
+      now += 1 + fast_cycles;
+    }
+    expect_same_accounting(fast, slow, "seed " + std::to_string(seed));
+  }
+}
+
+TEST(Hierarchy, InlinePathsMatchSlowPathsUnderRandomInterleaving) {
+  expect_inline_paths_match_slow_paths(leon3_hierarchy_config(), 40, 20'000);
+}
+
+// With TLB pages smaller than an L1 line, two accesses to one line can
+// need two translations, so the same-line memo must stay off.
+TEST(Hierarchy, InlinePathsMatchSlowPathsWhenALineSpansTlbPages) {
+  HierarchyConfig config = leon3_hierarchy_config();
+  config.itlb.page_bytes = 16;
+  config.dtlb.page_bytes = 16;
+  expect_inline_paths_match_slow_paths(config, 4, 20'000);
+}
+
+// A load-line memo must not outlive a store: every store moves the DTLB's
+// MRU entry and ages the loaded page's entry.  Page P stays live through
+// 63 stores to other pages only because the loads between them refresh it;
+// the 65th page then evicts another page, and a load from another line of
+// P still hits the DTLB.
+TEST(Hierarchy, LoadLineTlbEntryStaysLiveAcrossStoresToOtherPages) {
+  MemoryHierarchy fast(leon3_hierarchy_config());
+  MemoryHierarchy slow(leon3_hierarchy_config());
+  constexpr std::uint32_t kPage = 4096;
+  constexpr std::uint32_t kP = 0x4010'0000;
+  const auto other_page = [](std::uint32_t k) {
+    return 0x4020'0000 + k * kPage;
+  };
+  std::uint64_t now = 0;
+  int step = 0;
+  const auto check = [&](std::uint32_t fast_cycles, std::uint32_t slow_cycles) {
+    const std::string label = "step " + std::to_string(step++);
+    ASSERT_EQ(fast_cycles, slow_cycles) << label;
+    ASSERT_TRUE(fast.counters() == slow.counters()) << label;
+    now += 1 + fast_cycles;
+  };
+  const auto load = [&](std::uint32_t addr) {
+    check(fast.load_fast(addr), slow.load(addr));
+  };
+  const auto store = [&](std::uint32_t addr) {
+    check(fast.store_fast(addr, now), slow.store(addr, now));
+  };
+
+  load(kP);
+  for (std::uint32_t k = 0; k < 63; ++k) {
+    store(other_page(k)); // fills the DTLB: P plus 63 pages
+  }
+  load(kP);
+  load(kP);
+  for (std::uint32_t k = 63; k < 126; ++k) {
+    store(other_page(k)); // evicts the oldest of the first 63 pages
+    load(kP);
+  }
+  store(other_page(126)); // the 65th page evicts page 63, not P
+  EXPECT_FALSE(slow.dtlb().contains(other_page(63)));
+  load(kP + 32); // another line of P: a DTLB hit
+  EXPECT_EQ(slow.counters().dtlb_miss, 128u); // P and the 127 other pages
+  expect_same_accounting(fast, slow, "end");
 }
 
 } // namespace

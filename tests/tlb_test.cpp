@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace {
 
 using proxima::mem::Tlb;
@@ -59,6 +61,21 @@ TEST(Tlb, FlushEmptiesEverything) {
   EXPECT_FALSE(tlb.contains(0x1000));
   EXPECT_FALSE(tlb.contains(0x2000));
   EXPECT_FALSE(tlb.access(0x1000)); // miss again after flush
+}
+
+TEST(Tlb, RejectsZeroEntries) {
+  EXPECT_THROW(Tlb(TlbConfig{.entries = 0, .page_bytes = 4096}),
+               std::invalid_argument);
+}
+
+TEST(Tlb, RejectsPageSizeZero) {
+  EXPECT_THROW(Tlb(TlbConfig{.entries = 64, .page_bytes = 0}),
+               std::invalid_argument);
+}
+
+TEST(Tlb, RejectsPageSizeNotAPowerOfTwo) {
+  EXPECT_THROW(Tlb(TlbConfig{.entries = 64, .page_bytes = 3000}),
+               std::invalid_argument);
 }
 
 TEST(Tlb, PageGranularity) {

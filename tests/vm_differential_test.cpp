@@ -452,4 +452,87 @@ TEST(VmDifferential, SelfModifyingStoreInvalidatesPredecodedSlot) {
   EXPECT_EQ(fast_result.instructions, reference_result.instructions);
 }
 
+// A guest store into the IL1 line it is executing from stales that line:
+// on the reference core every later fetch from it is a coherence
+// violation.  The fast core must count the same violations, not take the
+// rest of the line as clean hits from its same-line fetch memo.
+TEST(VmDifferential, StoreIntoTheExecutingLineStalesItsRemainingFetches) {
+  isa::FunctionBuilder fb("main");
+  fb.load_address(isa::kO3, "main");
+  fb.st(isa::kG0, isa::kO3, 0); // overwrite main's first (executed) word
+  for (int k = 0; k < 5; ++k) {
+    fb.nop(); // same IL1 line as the store
+  }
+  fb.halt();
+  isa::Program program;
+  program.functions.push_back(std::move(fb).build());
+  isa::LinkOptions options;
+  options.function_align = 32; // main starts an IL1 line
+
+  test::TestMachine fast(program, options,
+                         vm::VmConfig{.core = vm::VmCore::kFast});
+  test::TestMachine reference(program, options,
+                              vm::VmConfig{.core = vm::VmCore::kReference});
+  ASSERT_EQ(reference.image.entry_addr() % 32, 0u);
+  const vm::RunResult fast_result = fast.run();
+  const vm::RunResult reference_result = reference.run();
+
+  EXPECT_GT(reference.hierarchy.counters().coherence_violations, 0u);
+  EXPECT_TRUE(fast.hierarchy.counters() == reference.hierarchy.counters());
+  EXPECT_EQ(fast.hierarchy.counters().coherence_violations,
+            reference.hierarchy.counters().coherence_violations);
+  EXPECT_EQ(fast_result.cycles, reference_result.cycles);
+  EXPECT_EQ(fast_result.instructions, reference_result.instructions);
+}
+
+// The fast core keeps its cycle and instruction counts in registers and
+// writes them back when it stops.  A run that stops by throwing must leave
+// them exact too: a VM fault (misaligned load) and a strict-coherence error
+// from the hierarchy (a fetch from a line the program just rewrote) leave
+// the same cycles, instruction count and counters on both cores.
+TEST(VmDifferential, FaultsLeaveTheCountsExact) {
+  isa::FunctionBuilder fb("main");
+  fb.li(isa::kO0, 20);
+  fb.label("loop");
+  fb.opi(isa::Opcode::kSubcci, isa::kO0, isa::kO0, 1);
+  fb.bne("loop");
+  fb.load_address(isa::kO3, "main");
+  fb.ld(isa::kO1, isa::kO3, 2); // misaligned: a VM fault
+  fb.halt();
+  isa::Program misaligned;
+  misaligned.functions.push_back(std::move(fb).build());
+
+  isa::FunctionBuilder rewrite("main");
+  rewrite.load_address(isa::kO3, "main");
+  rewrite.st(isa::kG0, isa::kO3, 0);
+  rewrite.nop(); // a stale fetch: CoherenceError under strict coherence
+  rewrite.halt();
+  isa::Program stale;
+  stale.functions.push_back(std::move(rewrite).build());
+  isa::LinkOptions options;
+  options.function_align = 32;
+
+  const auto stop = [&](const isa::Program& program, vm::VmCore core,
+                        bool strict) {
+    auto machine = std::make_unique<test::TestMachine>(
+        program, options, vm::VmConfig{.core = core});
+    machine->hierarchy.set_strict_coherence(strict);
+    EXPECT_ANY_THROW(machine->run());
+    return machine;
+  };
+  for (const bool strict : {false, true}) {
+    const isa::Program& program = strict ? stale : misaligned;
+    const auto fast = stop(program, vm::VmCore::kFast, strict);
+    const auto reference = stop(program, vm::VmCore::kReference, strict);
+    const std::string label = strict ? "coherence error" : "vm fault";
+    EXPECT_GT(reference->cpu.instructions(), 0u) << label;
+    EXPECT_EQ(fast->cpu.cycles(), reference->cpu.cycles()) << label;
+    EXPECT_EQ(fast->cpu.instructions(), reference->cpu.instructions())
+        << label;
+    EXPECT_TRUE(fast->hierarchy.counters() == reference->hierarchy.counters())
+        << label;
+    EXPECT_EQ(fast->cpu.pc(), reference->cpu.pc()) << label;
+  }
+}
+
 } // namespace
