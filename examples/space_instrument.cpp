@@ -120,10 +120,11 @@ public:
 
   void before_activation(std::uint64_t) override {
     inputs_ = make_image_inputs(input_rng_, params_);
-    stage_image_inputs(memory_, *image_, inputs_);
-    const std::uint32_t frame_addr = image_->symbol("im_frame").addr;
-    hierarchy_.note_memory_written(frame_addr, params_.frame_bytes());
-    hierarchy_.invalidate_range(frame_addr, params_.frame_bytes());
+    for (const auto& [addr, length] :
+         stage_image_inputs(memory_, *image_, inputs_)) {
+      hierarchy_.note_memory_written(addr, length);
+      hierarchy_.invalidate_range(addr, length);
+    }
   }
 
   void reboot() override {

@@ -17,7 +17,6 @@
 #include "casestudy/control_task.hpp"
 #include "casestudy/image_task.hpp"
 #include "casestudy/leak_task.hpp"
-#include "casestudy/stressor_task.hpp"
 #include "core/dsr_pass.hpp"
 #include "core/dsr_runtime.hpp"
 #include "mem/counters.hpp"
@@ -102,24 +101,30 @@ const char* measured_partition_name(MeasuredTargetKind kind) noexcept;
 /// Hypervisor campaign (the paper's PikeOS setting): the measured target
 /// (`CampaignConfig::measured` — the control task by default) is measured
 /// *while* guest partitions share the platform, instead of on the bare
-/// platform.  One measured run replays `frames` minor frames of the cyclic
-/// schedule from a fresh timeline:
+/// platform.  The schedule runs on `rtos::Hypervisor`'s default clock
+/// (100 ms minor frames at 50000 cycles/ms).  One measured run replays
+/// `frames` minor frames of the cyclic schedule from a fresh timeline:
 ///   * the measured partition activates exactly once, in the LAST minor
-///     frame (period = frames * minor_frame_ms, offset at the end), so the
-///     guests' cache/TLB interference precedes the measured activation;
+///     frame (its period is `frames` minor frames, offset to the end), so
+///     the guests' cache/TLB interference precedes the measured activation;
 ///   * guest partitions activate every minor frame with fresh inputs drawn
 ///     from per-partition streams (`exec::derive_partition_seed`, whose
 ///     partition indices are fixed per task kind — see hv_runner.cpp), so
 ///     the interference pattern varies run to run but stays a pure
 ///     function of the run index — the engine shards hypervisor scenarios
 ///     exactly like bare-platform ones;
+///   * no partition carries a budget: each is granted the rest of its
+///     minor frame;
 ///   * the bare protocol's unmeasured same-layout warm-up of the measured
 ///     program still precedes the schedule, so `hv/control-solo`
 ///     reproduces the bare analysis protocol and the guest scenarios
 ///     differ from it by interference only.
-/// A task kind can appear in a schedule once: enabling the guest matching
-/// the measured target (e.g. `control_guest` while measuring the control
-/// task) is rejected at runner construction.
+/// Guests take their task parameters from the campaign config the
+/// measured target reads too: the control guest `CampaignConfig::control`,
+/// the image guest `CampaignConfig::image`; the stressor runs with
+/// default `StressorParams`.  A task kind can appear in a schedule once:
+/// enabling the guest matching the measured target (e.g. `control_guest`
+/// while measuring the control task) is rejected at runner construction.
 /// Static re-link randomisation is not supported under the hypervisor (a
 /// re-flash clears the whole guest memory, guests included).
 struct HvCampaignConfig {
@@ -127,32 +132,16 @@ struct HvCampaignConfig {
   /// frames).  10 reproduces the paper's 1 s control period over 100 ms
   /// frames.
   std::uint32_t frames = 10;
-  std::uint32_t minor_frame_ms = 100;
-  /// LEON3-class clock (cycles per millisecond).
-  std::uint64_t cycles_per_ms = 50000;
-  /// Budgets in ms; 0 grants the rest of the minor frame.  The measured
-  /// budget applies to whichever partition `CampaignConfig::measured`
-  /// selects.
-  std::uint32_t measured_budget_ms = 0;
   /// The control task as an interference guest (only valid when the
   /// measured target is NOT the control task): a fresh input refresh every
   /// minor frame, state replayed from the image's load-time contents each
   /// run so the interference stays a pure function of the run index.
-  /// (The guest budget is deliberately NOT named `control_budget_ms` —
-  /// that was the measured control partition's budget through PR 4, which
-  /// is now `measured_budget_ms`; reusing the old name would silently
-  /// strand stale callers.)
   bool control_guest = false;
-  std::uint32_t control_guest_budget_ms = 0;
   /// The image-processing task as a low-criticality guest (only valid when
   /// the measured target is NOT the image task).
   bool image_guest = false;
-  ImageParams image;
-  std::uint32_t image_budget_ms = 0;
   /// The synthetic L2-evicting stressor as a low-criticality guest.
   bool stressor_guest = false;
-  StressorParams stressor;
-  std::uint32_t stressor_budget_ms = 0;
 };
 
 struct CampaignConfig {
@@ -160,10 +149,11 @@ struct CampaignConfig {
   /// Selects the program the bare protocol runs, or the measured partition
   /// of a hypervisor campaign.
   MeasuredTargetKind measured = MeasuredTargetKind::kControl;
+  /// Parameters of the control task, whether it is the measured target or
+  /// an hv campaign's control guest.
   ControlParams control;
-  /// Parameters of the image task WHEN IT IS THE MEASURED TARGET
-  /// (`measured == kImage`); an hv campaign's image *guest* keeps its own
-  /// params in HvCampaignConfig::image.
+  /// Parameters of the image task, whether it is the measured target
+  /// (`measured == kImage`) or an hv campaign's image guest.
   ImageParams image;
   /// Parameters of the leak-beacon task when it is the measured target
   /// (`measured == kLeakyBeacon` / `kHardenedBeacon`; the hardened flag in

@@ -164,6 +164,11 @@ void CampaignRunner::stage_inputs(std::uint64_t activation) {
   staged_activation_ = activation;
 }
 
+std::uint32_t CampaignRunner::measured_entry() const {
+  return uses_dsr(config_.randomisation) ? runtime_->entry_address()
+                                         : image_.entry_addr();
+}
+
 void CampaignRunner::note_staged_range(std::uint32_t addr,
                                        std::uint32_t length) {
   hierarchy_.note_memory_written(addr, length);
@@ -249,10 +254,7 @@ void CampaignRunner::execute() {
     executed_ = true;
     return;
   }
-  const bool use_dsr = uses_dsr(config_.randomisation);
-  const std::uint32_t entry =
-      use_dsr ? runtime_->entry_address() : image_.entry_addr();
-  const std::uint32_t stack_top = target_->stack_top();
+  const std::uint32_t entry = measured_entry();
 
   // Well-defined initial state, independent across runs *by construction*
   // (the paper's own requirement): wipe every level, run one unmeasured
@@ -260,7 +262,7 @@ void CampaignRunner::execute() {
   // PikeOS partition-start L1 flush.  The measured activation thus starts
   // from a warm L2 whose contents are a function of the current run only.
   hierarchy_.flush_all();
-  cpu_.reset(entry, stack_top);
+  cpu_.reset(entry, kControlStackTop);
   if (cpu_.run().stop != vm::RunResult::Stop::kHalt) {
     fault("warm-up activation did not halt");
   }
@@ -275,11 +277,10 @@ void CampaignRunner::execute() {
   // reboot-time entry — under the lazy scheme the warm-up's first-call
   // trap moves entry_address(), and the measured activation must still
   // enter through the stub exactly as it always has.
-  const std::uint32_t measured_entry =
-      config_.randomisation == Randomisation::kDsrOnDemand
-          ? runtime_->entry_address()
-          : entry;
-  cpu_.reset(measured_entry, stack_top);
+  cpu_.reset(config_.randomisation == Randomisation::kDsrOnDemand
+                 ? measured_entry()
+                 : entry,
+             kControlStackTop);
   if (cpu_.run().stop != vm::RunResult::Stop::kHalt) {
     fault("activation did not halt");
   }

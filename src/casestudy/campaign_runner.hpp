@@ -110,6 +110,9 @@ private:
   /// partition — one switch serves both).
   void apply_randomisation(std::uint64_t layout_seed);
   void stage_inputs(std::uint64_t activation);
+  /// Entry point of the measured program under the layout in force now:
+  /// the DSR runtime's entry stub, or the image's fixed entry.
+  std::uint32_t measured_entry() const;
   /// DMA-coherence protocol for a freshly staged guest-memory range:
   /// LEON3 DMA is not cache-coherent, so every stage site (measured
   /// target and every hv guest app) must notify the hierarchy and

@@ -61,30 +61,24 @@ void fold_control(Fold& fold, const ControlParams& p) {
   fold.f64("control.command_limit", p.command_limit);
 }
 
-void fold_image(Fold& fold, std::string_view prefix, const ImageParams& p) {
-  const std::string base(prefix);
-  fold.u64(base + ".grid", p.grid);
-  fold.u64(base + ".lens_px", p.lens_px);
-  fold.u64(base + ".modes", p.modes);
-  fold.u64(base + ".window", p.window);
-  fold.f64(base + ".lit_fraction", p.lit_fraction);
+void fold_image(Fold& fold, const ImageParams& p) {
+  fold.u64("image.grid", p.grid);
+  fold.u64("image.lens_px", p.lens_px);
+  fold.u64("image.modes", p.modes);
+  fold.u64("image.window", p.window);
+  fold.f64("image.lit_fraction", p.lit_fraction);
+}
+
+void fold_leak(Fold& fold, const LeakParams& p) {
+  fold.u64("leak.words", p.words);
+  fold.u64("leak.rounds", p.rounds); // `hardened`: see fingerprint.hpp
 }
 
 void fold_hypervisor(Fold& fold, const HvCampaignConfig& hv) {
   fold.u64("hv.frames", hv.frames);
-  fold.u64("hv.minor_frame_ms", hv.minor_frame_ms);
-  fold.u64("hv.cycles_per_ms", hv.cycles_per_ms);
-  fold.u64("hv.measured_budget_ms", hv.measured_budget_ms);
   fold.boolean("hv.control_guest", hv.control_guest);
-  fold.u64("hv.control_guest_budget_ms", hv.control_guest_budget_ms);
   fold.boolean("hv.image_guest", hv.image_guest);
-  fold_image(fold, "hv.image", hv.image);
-  fold.u64("hv.image_budget_ms", hv.image_budget_ms);
   fold.boolean("hv.stressor_guest", hv.stressor_guest);
-  fold.u64("hv.stressor.buffer_bytes", hv.stressor.buffer_bytes);
-  fold.u64("hv.stressor.stride", hv.stressor.stride);
-  fold.u64("hv.stressor.passes", hv.stressor.passes);
-  fold.u64("hv.stressor_budget_ms", hv.stressor_budget_ms);
 }
 
 } // namespace
@@ -94,7 +88,8 @@ std::uint64_t config_fingerprint(const CampaignConfig& config) {
   fold.u64("format", 1); // bump to invalidate every stored cell at once
   fold.u64("measured", static_cast<std::uint64_t>(config.measured));
   fold_control(fold, config.control);
-  fold_image(fold, "image", config.image);
+  fold_image(fold, config.image);
+  fold_leak(fold, config.leak);
   fold.u64("layout", static_cast<std::uint64_t>(config.layout));
   fold.u64("randomisation",
            static_cast<std::uint64_t>(config.randomisation));
@@ -123,6 +118,9 @@ std::uint64_t config_fingerprint(const CampaignConfig& config) {
   }
   fold.boolean("verify_outputs", config.verify_outputs);
   fold.boolean("fixed_inputs", config.fixed_inputs);
+  // Dynamic taint never changes times, but it adds the leak.* metrics a
+  // stored cell replays.
+  fold.boolean("taint", config.taint);
   fold.boolean("hypervisor", config.hypervisor.has_value());
   if (config.hypervisor) {
     fold_hypervisor(fold, *config.hypervisor);

@@ -19,6 +19,11 @@
 //                       samples collected before the fault are exactly the
 //                       uninjected campaign's prefix.
 //   * `collect_metrics` / `timeline` — observability never changes samples.
+//   * `dsr_options.batched_relocation` — the batched and per-word reseed
+//                       paths are bit-identical (dsr_rerandomise_test), so
+//                       either may fill or read the same cell.
+//   * `leak.hardened` — the target kind (kLeakyBeacon / kHardenedBeacon,
+//                       folded as `measured`) overrides it.
 //
 // Every field is folded with a name tag, so adding a field (or reordering
 // the struct) changes the fingerprint only when the fold itself is updated

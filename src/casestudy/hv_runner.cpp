@@ -30,6 +30,7 @@
 // stream.
 #include "casestudy/campaign_runner.hpp"
 
+#include "casestudy/stressor_task.hpp"
 #include "exec/seed.hpp"
 #include "obs/timeline.hpp"
 #include "rng/mwc.hpp"
@@ -37,23 +38,15 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace proxima::casestudy {
 
 namespace {
-
-// Guest image bases: above the DSR code pool (0x4100'0000 + 32 MiB).
-constexpr std::uint32_t kImageCodeBase = 0x4300'0000;
-constexpr std::uint32_t kImageDataBase = 0x4310'0000;
-constexpr std::uint32_t kImageStackTop = 0x4480'0000;
-constexpr std::uint32_t kStressorCodeBase = 0x4500'0000;
-constexpr std::uint32_t kStressorDataBase = 0x4510'0000;
-constexpr std::uint32_t kStressorStackTop = 0x4580'0000;
-constexpr std::uint32_t kControlGuestCodeBase = 0x4600'0000;
-constexpr std::uint32_t kControlGuestDataBase = 0x4610'0000;
-constexpr std::uint32_t kControlGuestStackTop = 0x4680'0000;
 
 /// Stable per-partition indices for exec::derive_partition_seed: fixed per
 /// partition kind (not registration order, not measured role), so enabling
@@ -64,7 +57,24 @@ constexpr std::uint32_t kImageSeedIndex = 1;
 constexpr std::uint32_t kStressorSeedIndex = 2;
 constexpr std::uint32_t kBeaconSeedIndex = 3;
 
-constexpr const char* kStressorPartition = "stressor";
+/// Where a guest kind's image is linked and which partition stream its
+/// inputs draw from; all fixed per kind.  Guest images sit above the DSR
+/// code pool (0x4100'0000 + 32 MiB).
+struct GuestPlacement {
+  std::uint32_t code_base;
+  std::uint32_t data_base;
+  std::uint32_t stack_top;
+  std::uint32_t seed_index;
+};
+
+constexpr GuestPlacement kImageGuest{0x4300'0000, 0x4310'0000, 0x4480'0000,
+                                     kImageSeedIndex};
+constexpr GuestPlacement kStressorGuest{0x4500'0000, 0x4510'0000,
+                                        0x4580'0000, kStressorSeedIndex};
+constexpr GuestPlacement kControlGuest{0x4600'0000, 0x4610'0000,
+                                       0x4680'0000, kControlSeedIndex};
+
+using StagedRanges = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
 std::uint32_t measured_seed_index(MeasuredTargetKind kind) {
   switch (kind) {
@@ -79,11 +89,10 @@ std::uint32_t measured_seed_index(MeasuredTargetKind kind) {
   return kControlSeedIndex;
 }
 
-isa::LinkOptions guest_link_options(std::uint32_t code_base,
-                                    std::uint32_t data_base) {
+isa::LinkOptions guest_link_options(const GuestPlacement& placement) {
   isa::LinkOptions options;
-  options.code_base = code_base;
-  options.data_base = data_base;
+  options.code_base = placement.code_base;
+  options.data_base = placement.data_base;
   return options;
 }
 
@@ -97,290 +106,235 @@ struct CampaignRunner::HvState {
   class MeasuredApp final : public rtos::PartitionApp {
   public:
     explicit MeasuredApp(CampaignRunner& runner) : runner_(runner) {}
-    std::uint32_t entry_address() override {
-      // Queried at activation time, so an on-demand reseed earlier in the
-      // schedule is picked up here.
-      return uses_dsr(runner_.config_.randomisation)
-                 ? runner_.runtime_->entry_address()
-                 : runner_.image_.entry_addr();
-    }
-    std::uint32_t stack_top() override { return runner_.target_->stack_top(); }
+    // Queried at activation time, so an on-demand reseed earlier in the
+    // schedule is picked up here.
+    std::uint32_t entry_address() override { return runner_.measured_entry(); }
+    std::uint32_t stack_top() override { return kControlStackTop; }
 
   private:
     CampaignRunner& runner_;
+  };
+
+  /// An interference guest partition.  Everything but the task itself is
+  /// the same for every kind: the image linked at the kind's placement,
+  /// the per-run reseed of the kind's frozen partition stream, the
+  /// first-activation-of-run flag, the DMA-coherence protocol for every
+  /// staged range, and the golden-check fault.  A kind supplies stage(),
+  /// matches_golden() and, if it keeps state across activations, restart().
+  class GuestApp : public rtos::PartitionApp {
+  public:
+    // The hypervisor holds the guest's address.
+    GuestApp(const GuestApp&) = delete;
+    GuestApp& operator=(const GuestApp&) = delete;
+
+    const std::string& partition() const noexcept { return partition_; }
+    std::uint32_t entry_address() final { return image_.entry_addr(); }
+    std::uint32_t stack_top() final { return placement_.stack_top; }
+
+    void begin_run(std::uint64_t activation) {
+      rng_.seed(exec::derive_partition_seed(runner_.config_.input_seed,
+                                            exec::SeedStream::kInput,
+                                            activation, placement_.seed_index));
+      restart();
+      first_of_run_ = true;
+    }
+
+    void before_activation(std::uint64_t) final {
+      for (const auto& [addr, length] : stage(rng_, first_of_run_)) {
+        runner_.note_staged_range(addr, length);
+      }
+      first_of_run_ = false;
+    }
+
+    /// Golden-model check of the run's last activation (its outputs are
+    /// still resident when the schedule completes); nothing to check if the
+    /// guest did not activate this run.
+    void verify_last() const {
+      if (!first_of_run_ && !matches_golden()) {
+        runner_.fault(partition_ +
+                      " guest outputs diverge from the golden model");
+      }
+    }
+
+  protected:
+    GuestApp(CampaignRunner& runner, std::string partition,
+             const GuestPlacement& placement, const isa::Program& program)
+        : runner_(runner), partition_(std::move(partition)),
+          placement_(placement), rng_(1),
+          image_(isa::link(program, guest_link_options(placement))) {
+      image_.load_into(runner_.memory_);
+      runner_.cpu_.predecode(image_.code_begin(),
+                             image_.code_end() - image_.code_begin());
+    }
+
+    mem::GuestMemory& memory() const { return runner_.memory_; }
+    const isa::LinkedImage& image() const { return image_; }
+
+  private:
+    /// Reset the kind's state at the start of a run (default: none kept).
+    virtual void restart() {}
+    /// Draw one activation's inputs from `rng` and write them into guest
+    /// memory; returns the staged ranges.  `first_of_run`: guest memory
+    /// still holds the previous run's state.
+    virtual StagedRanges stage(rng::Mwc& rng, bool first_of_run) = 0;
+    virtual bool matches_golden() const = 0;
+
+    CampaignRunner& runner_;
+    std::string partition_;
+    GuestPlacement placement_;
+    rng::Mwc rng_;
+    isa::LinkedImage image_;
+    bool first_of_run_ = true;
   };
 
   /// The control task as an interference guest (the measured target is
   /// another partition): a fresh input refresh every minor frame.  The
   /// persistent instrument state restarts from the image's load-time
-  /// contents each run — the per-run reseed plus a full first-activation
-  /// re-stage keeps the whole guest a pure function of the run index, so
-  /// the engine's sharding contract holds without cross-run host-side
-  /// replay (unlike the measured control path, whose stream survives
-  /// across runs).
-  class ControlGuestApp final : public rtos::PartitionApp {
+  /// contents each run and is staged in full at the run's first
+  /// activation, so the whole guest is a pure function of the run index
+  /// without cross-run host-side replay (unlike the measured control path,
+  /// whose stream survives across runs).
+  class ControlGuest final : public GuestApp {
   public:
-    ControlGuestApp(CampaignRunner& runner, const ControlParams& params)
-        : runner_(runner), params_(params), rng_(1),
-          image_(isa::link(build_control_program(params_),
-                           guest_link_options(kControlGuestCodeBase,
-                                              kControlGuestDataBase))),
-          inputs_(initial_control_inputs(params_)) {
-      image_.load_into(runner_.memory_);
-      runner_.cpu_.predecode(image_.code_begin(),
-                             image_.code_end() - image_.code_begin());
-    }
-
-    std::uint32_t entry_address() override { return image_.entry_addr(); }
-    std::uint32_t stack_top() override { return kControlGuestStackTop; }
-
-    void begin_run(std::uint64_t activation) {
-      rng_.seed(exec::derive_partition_seed(runner_.config_.input_seed,
-                                            exec::SeedStream::kInput,
-                                            activation, kControlSeedIndex));
-      inputs_ = initial_control_inputs(params_);
-      full_stage_ = true; // guest memory still holds the previous run's state
-      staged_ = false;
-    }
-
-    void before_activation(std::uint64_t) override {
-      refresh_control_inputs(rng_, params_, inputs_);
-      ControlInputs to_stage = inputs_;
-      if (full_stage_) {
-        mark_control_inputs_fully_dirty(to_stage);
-        full_stage_ = false;
-      }
-      for (const auto& [addr, length] :
-           stage_control_inputs(runner_.memory_, image_, to_stage)) {
-        runner_.note_staged_range(addr, length);
-      }
-      staged_ = true;
-    }
-
-    /// Golden-model check of the most recent activation (its outputs are
-    /// still resident when the run's schedule completes).
-    void verify_last() const {
-      if (!staged_) {
-        return;
-      }
-      const ControlOutputs expected = reference_control(params_, inputs_);
-      const ControlOutputs actual =
-          read_control_outputs(runner_.memory_, image_, params_);
-      if (!(expected == actual)) {
-        runner_.fault("control guest outputs diverge from the golden model");
-      }
-    }
+    ControlGuest(CampaignRunner& runner, const ControlParams& params)
+        : GuestApp(runner,
+                   measured_partition_name(MeasuredTargetKind::kControl),
+                   kControlGuest, build_control_program(params)),
+          params_(params), inputs_(initial_control_inputs(params)) {}
 
   private:
-    CampaignRunner& runner_;
+    void restart() override { inputs_ = initial_control_inputs(params_); }
+    StagedRanges stage(rng::Mwc& rng, bool first_of_run) override {
+      refresh_control_inputs(rng, params_, inputs_);
+      if (!first_of_run) {
+        return stage_control_inputs(memory(), image(), inputs_);
+      }
+      ControlInputs full = inputs_;
+      mark_control_inputs_fully_dirty(full);
+      return stage_control_inputs(memory(), image(), full);
+    }
+    bool matches_golden() const override {
+      return reference_control(params_, inputs_) ==
+             read_control_outputs(memory(), image(), params_);
+    }
+
     ControlParams params_;
-    rng::Mwc rng_;
-    isa::LinkedImage image_;
     ControlInputs inputs_;
-    bool full_stage_ = true;
-    bool staged_ = false;
   };
 
   /// The image-processing task as a low-criticality guest: a fresh sensor
-  /// frame every activation, drawn from this run's partition stream.
-  class ImageGuestApp final : public rtos::PartitionApp {
+  /// frame every activation.
+  class ImageGuest final : public GuestApp {
   public:
-    ImageGuestApp(CampaignRunner& runner, const ImageParams& params)
-        : runner_(runner), params_(params), rng_(1),
-          image_(isa::link(build_image_program(params_),
-                           guest_link_options(kImageCodeBase,
-                                              kImageDataBase))) {
-      image_.load_into(runner_.memory_);
-      runner_.cpu_.predecode(image_.code_begin(),
-                             image_.code_end() - image_.code_begin());
-    }
-
-    std::uint32_t entry_address() override { return image_.entry_addr(); }
-    std::uint32_t stack_top() override { return kImageStackTop; }
-
-    void begin_run(std::uint64_t activation) {
-      rng_.seed(exec::derive_partition_seed(runner_.config_.input_seed,
-                                            exec::SeedStream::kInput,
-                                            activation, kImageSeedIndex));
-      staged_ = false;
-    }
-
-    void before_activation(std::uint64_t) override {
-      inputs_ = make_image_inputs(rng_, params_);
-      stage_image_inputs(runner_.memory_, image_, inputs_);
-      runner_.note_staged_range(image_.symbol("im_frame").addr,
-                                params_.frame_bytes());
-      runner_.note_staged_range(image_.symbol("im_status").addr, 16);
-      staged_ = true;
-    }
-
-    /// Golden-model check of the most recent activation (its outputs are
-    /// still resident when the run's schedule completes).
-    void verify_last() const {
-      if (!staged_) {
-        return;
-      }
-      const ImageOutputs expected = reference_image(params_, inputs_);
-      const ImageOutputs actual =
-          read_image_outputs(runner_.memory_, image_, params_);
-      if (!(expected == actual)) {
-        runner_.fault("image guest outputs diverge from the golden model");
-      }
-    }
+    ImageGuest(CampaignRunner& runner, const ImageParams& params)
+        : GuestApp(runner, measured_partition_name(MeasuredTargetKind::kImage),
+                   kImageGuest, build_image_program(params)),
+          params_(params) {}
 
   private:
-    CampaignRunner& runner_;
+    StagedRanges stage(rng::Mwc& rng, bool) override {
+      inputs_ = make_image_inputs(rng, params_);
+      return stage_image_inputs(memory(), image(), inputs_);
+    }
+    bool matches_golden() const override {
+      return reference_image(params_, inputs_) ==
+             read_image_outputs(memory(), image(), params_);
+    }
+
     ImageParams params_;
-    rng::Mwc rng_;
-    isa::LinkedImage image_;
     ImageInputs inputs_;
-    bool staged_ = false;
   };
 
-  /// The synthetic L2-evicting sweep as a low-criticality guest.
-  class StressorGuestApp final : public rtos::PartitionApp {
+  /// The synthetic L2-evicting sweep (default StressorParams) as a
+  /// low-criticality guest: a fresh salt every activation.
+  class StressorGuest final : public GuestApp {
   public:
-    StressorGuestApp(CampaignRunner& runner, const StressorParams& params)
-        : runner_(runner), params_(params), rng_(1),
-          image_(isa::link(build_stressor_program(params_),
-                           guest_link_options(kStressorCodeBase,
-                                              kStressorDataBase))) {
-      image_.load_into(runner_.memory_);
-      runner_.cpu_.predecode(image_.code_begin(),
-                             image_.code_end() - image_.code_begin());
-    }
-
-    std::uint32_t entry_address() override { return image_.entry_addr(); }
-    std::uint32_t stack_top() override { return kStressorStackTop; }
-
-    void begin_run(std::uint64_t activation) {
-      rng_.seed(exec::derive_partition_seed(runner_.config_.input_seed,
-                                            exec::SeedStream::kInput,
-                                            activation, kStressorSeedIndex));
-      staged_ = false;
-    }
-
-    void before_activation(std::uint64_t) override {
-      salt_ = rng_.next_u32();
-      for (const auto& [addr, length] :
-           stage_stressor_inputs(runner_.memory_, image_, salt_)) {
-        runner_.note_staged_range(addr, length);
-      }
-      staged_ = true;
-    }
-
-    void verify_last() const {
-      if (!staged_) {
-        return;
-      }
-      const StressorOutputs expected = reference_stressor(params_, salt_);
-      const StressorOutputs actual =
-          read_stressor_outputs(runner_.memory_, image_);
-      if (!(expected == actual)) {
-        runner_.fault("stressor guest output diverges from the golden model");
-      }
-    }
+    explicit StressorGuest(CampaignRunner& runner)
+        : GuestApp(runner, "stressor", kStressorGuest,
+                   build_stressor_program()) {}
 
   private:
-    CampaignRunner& runner_;
-    StressorParams params_;
-    rng::Mwc rng_;
-    isa::LinkedImage image_;
+    StagedRanges stage(rng::Mwc& rng, bool) override {
+      salt_ = rng.next_u32();
+      return stage_stressor_inputs(memory(), image(), salt_);
+    }
+    bool matches_golden() const override {
+      return reference_stressor(StressorParams{}, salt_) ==
+             read_stressor_outputs(memory(), image());
+    }
+
     std::uint32_t salt_ = 0;
-    bool staged_ = false;
   };
 
   HvState(CampaignRunner& runner, const HvCampaignConfig& hv)
       : measured(runner),
         measured_partition(
             measured_partition_name(runner.config_.measured)),
-        hypervisor(runner.cpu_, runner.hierarchy_,
-                   rtos::HypervisorConfig{hv.minor_frame_ms,
-                                          hv.cycles_per_ms}) {
+        hypervisor(runner.cpu_, runner.hierarchy_) {
     if (hv.control_guest) {
-      control.emplace(runner, runner.config_.control);
+      guests.push_back(
+          std::make_unique<ControlGuest>(runner, runner.config_.control));
     }
     if (hv.image_guest) {
-      image.emplace(runner, hv.image);
+      guests.push_back(
+          std::make_unique<ImageGuest>(runner, runner.config_.image));
     }
     if (hv.stressor_guest) {
-      stressor.emplace(runner, hv.stressor);
+      guests.push_back(std::make_unique<StressorGuest>(runner));
     }
     // The measured partition activates once per run, in the LAST minor
     // frame, so every guest activation of the run precedes the measured
-    // one; high criticality still puts it first within that frame.
-    const std::uint64_t period = std::uint64_t{hv.frames} * hv.minor_frame_ms;
+    // one; high criticality still puts it first within that frame.  No
+    // campaign partition carries a budget: each is granted the rest of its
+    // minor frame.
+    const std::uint32_t frame_ms = hypervisor.config().minor_frame_ms;
+    const std::uint64_t period = std::uint64_t{hv.frames} * frame_ms;
     if (period > std::numeric_limits<std::uint32_t>::max()) {
       throw std::invalid_argument(
-          "hypervisor campaign: frames * minor_frame_ms exceeds the 32-bit "
+          "hypervisor campaign: frames * minor frame exceeds the 32-bit "
           "period range");
     }
     const auto period_ms = static_cast<std::uint32_t>(period);
     hypervisor.add_partition(
         rtos::PartitionConfig{.name = measured_partition,
                               .period_ms = period_ms,
-                              .offset_ms = period_ms - hv.minor_frame_ms,
-                              .budget_ms = hv.measured_budget_ms,
+                              .offset_ms = period_ms - frame_ms,
                               .criticality = rtos::Criticality::kHigh},
         measured);
-    if (control) {
+    for (const std::unique_ptr<GuestApp>& guest : guests) {
+      // A task kind occupies one partition: the guest matching the
+      // measured target would collide with it (same program, same name).
+      if (guest->partition() == measured_partition) {
+        throw std::invalid_argument(
+            "hypervisor campaign: the " + measured_partition +
+            " partition is measured; its task cannot also run as an "
+            "interference guest");
+      }
       hypervisor.add_partition(
-          rtos::PartitionConfig{
-              .name = measured_partition_name(MeasuredTargetKind::kControl),
-              .period_ms = hv.minor_frame_ms,
-              .budget_ms = hv.control_guest_budget_ms},
-          *control);
-    }
-    if (image) {
-      hypervisor.add_partition(
-          rtos::PartitionConfig{
-              .name = measured_partition_name(MeasuredTargetKind::kImage),
-              .period_ms = hv.minor_frame_ms,
-              .budget_ms = hv.image_budget_ms},
-          *image);
-    }
-    if (stressor) {
-      hypervisor.add_partition(
-          rtos::PartitionConfig{.name = kStressorPartition,
-                                .period_ms = hv.minor_frame_ms,
-                                .budget_ms = hv.stressor_budget_ms},
-          *stressor);
+          rtos::PartitionConfig{.name = guest->partition(),
+                                .period_ms = frame_ms},
+          *guest);
     }
   }
 
   MeasuredApp measured;
   std::string measured_partition;
-  std::optional<ControlGuestApp> control;
-  std::optional<ImageGuestApp> image;
-  std::optional<StressorGuestApp> stressor;
+  std::vector<std::unique_ptr<GuestApp>> guests; // registration order
   rtos::Hypervisor hypervisor;
   std::vector<rtos::ActivationRecord> records; // last executed schedule
 };
 
 void CampaignRunner::hv_build() {
-  const HvCampaignConfig& hv = *config_.hypervisor;
   if (config_.randomisation == Randomisation::kStatic) {
     throw std::invalid_argument(
         "hypervisor campaigns do not support static re-link randomisation: "
         "a re-flash clears the guest partitions' images");
   }
-  if (hv.frames == 0) {
+  if (config_.hypervisor->frames == 0) {
     throw std::invalid_argument(
         "hypervisor campaigns need at least one minor frame per run");
   }
-  // A task kind occupies one partition: the guest matching the measured
-  // target would collide with it (same program, same partition name).
-  if (config_.measured == MeasuredTargetKind::kControl && hv.control_guest) {
-    throw std::invalid_argument(
-        "hypervisor campaign: the control task is the measured partition; "
-        "it cannot also run as an interference guest");
-  }
-  if (config_.measured == MeasuredTargetKind::kImage && hv.image_guest) {
-    throw std::invalid_argument(
-        "hypervisor campaign: the image task is the measured partition; "
-        "it cannot also run as an interference guest");
-  }
-  hv_ = std::make_shared<HvState>(*this, hv);
+  hv_ = std::make_shared<HvState>(*this, *config_.hypervisor);
   if (config_.randomisation == Randomisation::kDsrOnDemand) {
     // Hypervisor on-demand trigger: every granted partition activation
     // (every partition switch the schedule performs) reseeds the measured
@@ -404,22 +358,12 @@ void CampaignRunner::hv_setup(std::uint64_t activation) {
       measured_seed_index(config_.measured)));
   target_->advance_inputs(activation);
   stage_inputs(activation);
-  if (hv_->control) {
-    hv_->control->begin_run(activation);
-  }
-  if (hv_->image) {
-    hv_->image->begin_run(activation);
-  }
-  if (hv_->stressor) {
-    hv_->stressor->begin_run(activation);
+  for (const std::unique_ptr<HvState::GuestApp>& guest : hv_->guests) {
+    guest->begin_run(activation);
   }
 }
 
 void CampaignRunner::hv_execute() {
-  const bool use_dsr = uses_dsr(config_.randomisation);
-  const std::uint32_t entry =
-      use_dsr ? runtime_->entry_address() : image_.entry_addr();
-
   // The bare protocol's platform rebuild: wipe every level, then run the
   // unmeasured same-layout warm-up activation of the measured program so
   // the measured partition's L2 state entering the schedule is a pure
@@ -427,7 +371,7 @@ void CampaignRunner::hv_execute() {
   // state — hv/control-solo reproduces the bare analysis protocol, and the
   // guest scenarios differ from it by interference only.
   hierarchy_.flush_all();
-  cpu_.reset(entry, target_->stack_top());
+  cpu_.reset(measured_entry(), kControlStackTop);
   if (cpu_.run().stop != vm::RunResult::Stop::kHalt) {
     fault("hv warm-up activation did not halt");
   }
@@ -477,14 +421,8 @@ RunSample CampaignRunner::hv_collect() {
   }
 
   if (config_.verify_outputs) {
-    if (hv_->control) {
-      hv_->control->verify_last();
-    }
-    if (hv_->image) {
-      hv_->image->verify_last();
-    }
-    if (hv_->stressor) {
-      hv_->stressor->verify_last();
+    for (const std::unique_ptr<HvState::GuestApp>& guest : hv_->guests) {
+      guest->verify_last();
     }
     verify_measured();
   }
@@ -492,39 +430,23 @@ RunSample CampaignRunner::hv_collect() {
 }
 
 void CampaignRunner::hv_publish_obs() {
-  const HvCampaignConfig& hv = *config_.hypervisor;
+  const rtos::HypervisorConfig& clock = hv_->hypervisor.config();
+  // Campaign partitions carry no budget, so every activation's nominal
+  // grant is the whole minor frame.
   const std::uint64_t frame_cycles =
-      std::uint64_t{hv.minor_frame_ms} * hv.cycles_per_ms;
-  // Nominal budget fence of a partition, in ms (0 = the whole minor frame)
-  // — partition names are unique per task kind (hv_build rejects the
-  // measured kind doubling as a guest).
-  const auto budget_ms_of = [&](const std::string& name) -> std::uint32_t {
-    if (name == hv_->measured_partition) {
-      return hv.measured_budget_ms;
-    }
-    if (name == measured_partition_name(MeasuredTargetKind::kControl)) {
-      return hv.control_guest_budget_ms;
-    }
-    if (name == measured_partition_name(MeasuredTargetKind::kImage)) {
-      return hv.image_budget_ms;
-    }
-    return hv.stressor_budget_ms; // kStressorPartition
-  };
+      std::uint64_t{clock.minor_frame_ms} * clock.cycles_per_ms;
   // Timeline spans live on the SIMULATED clock: each measured run replays
   // `frames` minor frames from cycle 0, so consecutive runs are laid out
   // end to end at their schedule positions.
-  const std::uint64_t run_base_ms =
-      *current_run_ * std::uint64_t{hv.frames} * hv.minor_frame_ms;
+  const std::uint64_t run_base_ms = *current_run_ *
+                                    std::uint64_t{config_.hypervisor->frames} *
+                                    clock.minor_frame_ms;
   for (const rtos::ActivationRecord& record : hv_->records) {
     if (config_.collect_metrics) {
       const std::string prefix = "hv." + record.partition + ".";
       run_metrics_.add(prefix + "activations", 1);
       run_metrics_.add(prefix + "consumed_cycles", record.cycles_used);
-      const std::uint32_t budget_ms = budget_ms_of(record.partition);
-      run_metrics_.add(prefix + "granted_cycles",
-                       std::uint64_t{budget_ms != 0 ? budget_ms
-                                                    : hv.minor_frame_ms} *
-                           hv.cycles_per_ms);
+      run_metrics_.add(prefix + "granted_cycles", frame_cycles);
       if (record.overran) {
         run_metrics_.add(prefix + "overruns", 1);
       }
@@ -532,7 +454,8 @@ void CampaignRunner::hv_publish_obs() {
                           record.cycles_used * 100 / frame_cycles);
     }
     if (config_.timeline != nullptr) {
-      const double cycles_to_us = 1000.0 / static_cast<double>(hv.cycles_per_ms);
+      const double cycles_to_us =
+          1000.0 / static_cast<double>(clock.cycles_per_ms);
       config_.timeline->record(
           "partitions", record.partition,
           "run " + std::to_string(*current_run_) + " frame " +

@@ -289,14 +289,17 @@ ImageInputs make_image_inputs(rng::RandomSource& random,
   return inputs;
 }
 
-void stage_image_inputs(mem::GuestMemory& memory,
-                        const isa::LinkedImage& image,
-                        const ImageInputs& inputs) {
-  memory.load(image.symbol(kFrameSym).addr, inputs.frame);
+std::vector<std::pair<std::uint32_t, std::uint32_t>>
+stage_image_inputs(mem::GuestMemory& memory, const isa::LinkedImage& image,
+                   const ImageInputs& inputs) {
+  const std::uint32_t frame = image.symbol(kFrameSym).addr;
+  memory.load(frame, inputs.frame);
   const std::uint32_t status = image.symbol(kStatusSym).addr;
   for (std::uint32_t i = 0; i < 16; i += 4) {
     memory.write_u32(status + i, 0);
   }
+  return {{frame, static_cast<std::uint32_t>(inputs.frame.size())},
+          {status, 16}};
 }
 
 ImageOutputs read_image_outputs(const mem::GuestMemory& memory,

@@ -26,6 +26,7 @@
 #include "rng/random_source.hpp"
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace proxima::casestudy {
@@ -54,9 +55,12 @@ struct ImageInputs {
 ImageInputs make_image_inputs(rng::RandomSource& random,
                               const ImageParams& params);
 
-void stage_image_inputs(mem::GuestMemory& memory,
-                        const isa::LinkedImage& image,
-                        const ImageInputs& inputs);
+/// Write the frame and clear the status record.  Returns the staged
+/// (addr, length) ranges; the caller must invalidate them in the cache
+/// hierarchy (LEON3 DMA is not cache-coherent).
+std::vector<std::pair<std::uint32_t, std::uint32_t>>
+stage_image_inputs(mem::GuestMemory& memory, const isa::LinkedImage& image,
+                   const ImageInputs& inputs);
 
 struct ImageOutputs {
   std::uint32_t processed_lenses = 0;

@@ -75,10 +75,6 @@ public:
     return control_layout(config_.control, config_.layout, kControlStackTop);
   }
 
-  std::uint32_t stack_top() const noexcept override {
-    return kControlStackTop;
-  }
-
   void advance_inputs(std::uint64_t activation) override {
     if (config_.randomisation == Randomisation::kStatic) {
       // A re-flashed board: the persistent instrument state restarts from
@@ -180,10 +176,6 @@ public:
     return isa::LinkOptions{};
   }
 
-  std::uint32_t stack_top() const noexcept override {
-    return kControlStackTop; // the measured program owns the bare platform
-  }
-
   void advance_inputs(std::uint64_t activation) override {
     if (config_.fixed_inputs) {
       // Analysis protocol: one frame drawn at activation 0, replayed every
@@ -204,9 +196,7 @@ public:
   std::vector<std::pair<std::uint32_t, std::uint32_t>>
   stage_inputs(mem::GuestMemory& memory, const isa::LinkedImage& image,
                bool /*full_resync*/) override {
-    stage_image_inputs(memory, image, inputs_);
-    return {{image.symbol("im_frame").addr, config_.image.frame_bytes()},
-            {image.symbol("im_status").addr, 16}};
+    return stage_image_inputs(memory, image, inputs_);
   }
 
   bool verify(const mem::GuestMemory& memory,
@@ -255,10 +245,6 @@ public:
 
   isa::LinkOptions layout_options() const override {
     return isa::LinkOptions{}; // plain sequential layout, like the image task
-  }
-
-  std::uint32_t stack_top() const noexcept override {
-    return kControlStackTop; // the measured program owns the bare platform
   }
 
   void advance_inputs(std::uint64_t activation) override {

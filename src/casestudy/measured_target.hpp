@@ -47,9 +47,10 @@
 namespace proxima::casestudy {
 
 /// Stack top of the measured program on the measurement platform (1 KiB
-/// aligned).  Shared by the bare protocol and the hypervisor campaign's
-/// warm-up/measured partition: the test-locked hv/control-solo ==
-/// control/analysis-cots bit-equivalence depends on both using it.
+/// aligned), whichever target it is.  Shared by the bare protocol and the
+/// hypervisor campaign's warm-up/measured partition: the test-locked
+/// hv/control-solo == control/analysis-cots bit-equivalence depends on
+/// both using it.
 inline constexpr std::uint32_t kControlStackTop = 0x4080'0000;
 
 class MeasuredTarget {
@@ -81,8 +82,6 @@ public:
   /// layout for the image task).  The runner overlays
   /// `CampaignConfig::function_order` afterwards.
   virtual isa::LinkOptions layout_options() const = 0;
-  /// Stack top of the measured program (1 KiB aligned).
-  virtual std::uint32_t stack_top() const noexcept = 0;
 
   /// Advance the host-side input mirror to global activation `activation`.
   /// Called with strictly ascending indices per runner; replays any

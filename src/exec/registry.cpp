@@ -374,7 +374,7 @@ void register_default_scenarios(ScenarioRegistry& registry) {
       [](std::uint32_t runs) {
         CampaignConfig config = hv_base(Randomisation::kNone, runs);
         config.hypervisor->image_guest = true;
-        config.hypervisor->image = hv_image_params();
+        config.image = hv_image_params();
         return config;
       }});
   registry.add(Scenario{
@@ -383,7 +383,7 @@ void register_default_scenarios(ScenarioRegistry& registry) {
       [](std::uint32_t runs) {
         CampaignConfig config = hv_base(Randomisation::kDsr, runs);
         config.hypervisor->image_guest = true;
-        config.hypervisor->image = hv_image_params();
+        config.image = hv_image_params();
         return config;
       }});
   registry.add(Scenario{
@@ -393,7 +393,7 @@ void register_default_scenarios(ScenarioRegistry& registry) {
       [](std::uint32_t runs) {
         CampaignConfig config = hv_base(Randomisation::kDsrOnDemand, runs);
         config.hypervisor->image_guest = true;
-        config.hypervisor->image = hv_image_params();
+        config.image = hv_image_params();
         return config;
       }});
   registry.add(Scenario{

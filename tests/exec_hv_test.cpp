@@ -8,6 +8,7 @@
 #include "casestudy/campaign_runner.hpp"
 #include "exec/engine.hpp"
 #include "exec/registry.hpp"
+#include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
@@ -174,6 +175,50 @@ TEST(HvScenarios, AdaptiveCampaignsAreBitIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(one.batches, eight.batches);
   EXPECT_EQ(one.converged, eight.converged);
   expect_identical(one.campaign, eight.campaign);
+}
+
+// What the guests themselves do is invisible to the times digests: a guest
+// only reaches the measured partition through the cache state it leaves
+// behind.  Its own cycles and telemetry are locked here instead — the
+// metrics digest (per-partition consumed cycles, occupancy histograms, the
+// whole schedule's mem.* traffic) plus the schedule's total activations
+// and cycles, for one scenario per guest kind.  Captured before the guest
+// partitions were folded into one implementation; they must never change.
+struct LockedGuests {
+  const char* scenario;
+  const char* metrics_digest;
+  std::size_t activations;
+  double cycles;
+};
+
+constexpr LockedGuests kLockedGuests[] = {
+    {"hv/control+image", "0x1802bb41d217e9df", 132, 130074060.0},
+    {"hv/control+stress", "0x202e9210e0051286", 132, 28639296.0},
+    {"hv/image+control", "0x7f5d09ce88e2e216", 132, 44433547.0},
+    {"leak/observer-hv", "0xaf0b30d33bbc453c", 132, 27836421.0},
+};
+
+TEST(HvScenarios, GuestPartitionsAreLocked) {
+  for (const LockedGuests& locked : kLockedGuests) {
+    CampaignConfig config = scenario(locked.scenario, 12);
+    config.collect_metrics = true;
+    const CampaignResult result =
+        exec::CampaignEngine(worker_options(3)).run(config);
+    std::size_t activations = 0;
+    double cycles = 0.0;
+    for (const RunSample& sample : result.samples) {
+      for (const PartitionActivity& activity : sample.partitions) {
+        activations += activity.cycles.size();
+        for (const double used : activity.cycles) {
+          cycles += used;
+        }
+      }
+    }
+    EXPECT_EQ(obs::metrics_digest_hex(result.metrics), locked.metrics_digest)
+        << locked.scenario;
+    EXPECT_EQ(activations, locked.activations) << locked.scenario;
+    EXPECT_EQ(cycles, locked.cycles) << locked.scenario;
+  }
 }
 
 TEST(HvScenarios, StaticRandomisationIsRejected) {

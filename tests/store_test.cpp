@@ -332,6 +332,15 @@ TEST(StoreFingerprint, KeysBySampleDeterminingFieldsOnly) {
   CampaignConfig corrupt = base;
   corrupt.control.corrupt_rate += 0.25;
   EXPECT_NE(casestudy::config_fingerprint(corrupt), fingerprint);
+  CampaignConfig words = base;
+  words.leak.words *= 2;
+  EXPECT_NE(casestudy::config_fingerprint(words), fingerprint);
+  CampaignConfig rounds = base;
+  rounds.leak.rounds += 1;
+  EXPECT_NE(casestudy::config_fingerprint(rounds), fingerprint);
+  CampaignConfig taint = base;
+  taint.taint = !base.taint; // adds or drops the leak.* metrics
+  EXPECT_NE(casestudy::config_fingerprint(taint), fingerprint);
 
   // ...while fields that do not change any run's sample do not: the same
   // cell serves longer campaigns (prefix), either VM core (bit-identical
@@ -348,6 +357,37 @@ TEST(StoreFingerprint, KeysBySampleDeterminingFieldsOnly) {
   CampaignConfig metrics = base;
   metrics.collect_metrics = !base.collect_metrics;
   EXPECT_EQ(casestudy::config_fingerprint(metrics), fingerprint);
+  // The target kind overrides leak.hardened; the batched and per-word
+  // reseed paths are bit-identical (dsr_rerandomise_test).
+  CampaignConfig hardened = base;
+  hardened.leak.hardened = !base.leak.hardened;
+  EXPECT_EQ(casestudy::config_fingerprint(hardened), fingerprint);
+  CampaignConfig per_word = base;
+  per_word.dsr_options.batched_relocation = false;
+  EXPECT_EQ(casestudy::config_fingerprint(per_word), fingerprint);
+}
+
+TEST(StoreFingerprint, TaintOffCellDoesNotServeATaintOnCampaign) {
+  // A taint-off cell carries no leak.* metrics: serving it to a taint-on
+  // campaign would drop them without a word.
+  exec::ScenarioRegistry registry;
+  exec::register_default_scenarios(registry);
+  CampaignConfig off = registry.at("leak/beacon-dsr").make_config(16);
+  off.collect_metrics = true;
+  CampaignConfig on = off;
+  on.taint = true;
+  TempStore root("taint");
+  const store::CampaignStore store(root.path());
+  store.run("leak/beacon-dsr", off, worker_options(2));
+
+  store::StoreStats stats;
+  const CampaignResult stored =
+      store.run("leak/beacon-dsr", on, worker_options(2), &stats);
+  EXPECT_EQ(stats.stored_runs, 0u);
+  EXPECT_EQ(stats.simulated_runs, 16u);
+  const CampaignResult live =
+      exec::CampaignEngine(worker_options(2)).run(on);
+  expect_identical_campaigns(stored, live);
 }
 
 TEST(StoreFingerprint, LongerCampaignResumesFromAShorterCell) {
