@@ -100,7 +100,7 @@ void BM_ControlTaskActivation(benchmark::State& state) {
   rng::Mwc random(1);
   ControlInputs inputs = initial_control_inputs(params);
   refresh_control_inputs(random, params, inputs);
-  stage_control_inputs(memory, image, inputs);
+  stage_control_inputs(memory, hierarchy, image, inputs);
   for (auto _ : state) {
     hierarchy.flush_all();
     cpu.reset(image.entry_addr(), 0x40800000);

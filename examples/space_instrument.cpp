@@ -69,11 +69,7 @@ public:
 
   void before_activation(std::uint64_t) override {
     refresh_control_inputs(input_rng_, params_, inputs_);
-    for (const auto& [addr, length] :
-         stage_control_inputs(memory_, *image_, inputs_)) {
-      hierarchy_.note_memory_written(addr, length);
-      hierarchy_.invalidate_range(addr, length);
-    }
+    stage_control_inputs(memory_, hierarchy_, *image_, inputs_);
   }
 
   void reboot() override {
@@ -120,11 +116,7 @@ public:
 
   void before_activation(std::uint64_t) override {
     inputs_ = make_image_inputs(input_rng_, params_);
-    for (const auto& [addr, length] :
-         stage_image_inputs(memory_, *image_, inputs_)) {
-      hierarchy_.note_memory_written(addr, length);
-      hierarchy_.invalidate_range(addr, length);
-    }
+    stage_image_inputs(memory_, hierarchy_, *image_, inputs_);
   }
 
   void reboot() override {

@@ -165,15 +165,9 @@ struct CampaignConfig {
   /// is the default; the reference interpreter is the differential-test
   /// oracle (both produce bit-identical samples).
   vm::VmCore vm_core = vm::VmCore::kFast;
+  /// Measured runs; run i is global activation i of the input and layout
+  /// streams.  Every collected run is verified against the golden model.
   std::uint32_t runs = 1000;
-  /// Extra unmeasured activations before the campaign (each measured run
-  /// already gets its own same-layout warm-up; this is rarely needed).
-  /// Warm-up activations occupy the first slots of the global activation
-  /// sequence: they consume input-stream refreshes and shift every measured
-  /// run's derived seeds, but are not executed on the guest — the protocol
-  /// rebuilds the platform state from scratch each run, so an unmeasured
-  /// extra activation has no other observable effect.
-  std::uint32_t warmup_runs = 0;
   std::uint64_t input_seed = 2017;
   std::uint64_t layout_seed = 611085; // PROXIMA grant number
   PrngKind prng = PrngKind::kMwc;
@@ -181,8 +175,6 @@ struct CampaignConfig {
   dsr::RuntimeOptions dsr_options;
   /// Optional link-order override (incremental-integration experiment).
   std::vector<std::string> function_order;
-  /// Compare guest outputs against the golden model every run.
-  bool verify_outputs = true;
   /// Analysis-time input control (MBPTA methodology): draw ONE input
   /// vector and replay it every run, so the measured variability is the
   /// platform's (cache layout) rather than the program's (paths).  Combine

@@ -24,7 +24,7 @@ std::unique_ptr<rng::RandomSource> make_prng(PrngKind kind,
 
 /// Build the measured program (target-specific generation + UoA
 /// instrumentation) and, for DSR, apply the transformation pass.
-isa::Program make_program(const MeasuredTarget& target,
+isa::Program make_program(const Task& target,
                           const CampaignConfig& config,
                           dsr::PassReport& pass_report) {
   isa::Program program = target.build_program();
@@ -44,7 +44,7 @@ bool taint_enabled(const CampaignConfig& config) {
           !config.hypervisor);
 }
 
-isa::LinkOptions base_layout_options(const MeasuredTarget& target,
+isa::LinkOptions base_layout_options(const Task& target,
                                      const CampaignConfig& config) {
   isa::LinkOptions options = target.layout_options();
   options.function_order = config.function_order;
@@ -62,6 +62,7 @@ vm::VmConfig vm_config_for(const CampaignConfig& config) {
 
 CampaignRunner::CampaignRunner(const CampaignConfig& config)
     : config_(config), target_(make_measured_target(config_)),
+      input_rng_(config_.input_seed),
       program_(make_program(*target_, config_, pass_report_)),
       layout_rng_(make_prng(config_.prng, config_.layout_seed)),
       image_(isa::link(program_, base_layout_options(*target_, config_))),
@@ -145,34 +146,53 @@ void CampaignRunner::apply_randomisation(std::uint64_t layout_seed) {
   }
 }
 
+void CampaignRunner::advance_inputs(std::uint64_t activation) {
+  // Every draw comes from its own activation's run-seed stream.
+  const auto draw = [this](std::uint64_t index) {
+    input_rng_.seed(exec::derive_run_seed(config_.input_seed,
+                                          exec::SeedStream::kInput, index));
+    target_->draw(input_rng_);
+  };
+  if (config_.fixed_inputs) {
+    // Analysis protocol: activation 0's inputs, drawn once and replayed
+    // every run, so the measured variability is the platform's.
+    if (next_input_ == 0) {
+      draw(next_input_++);
+    }
+    return;
+  }
+  if (target_->stateful() && config_.randomisation != Randomisation::kStatic) {
+    // Streamed persistent state: replay every draw up to this activation,
+    // skipped indices included, so the host state (telemetry rotation,
+    // protocol block) is exactly what the sequential protocol would hold.
+    while (next_input_ <= activation) {
+      draw(next_input_++);
+    }
+    return;
+  }
+  // A stateless task, or a re-flashed board: the state restarts from the
+  // image's load-time contents every run.
+  target_->restart();
+  draw(activation);
+}
+
 void CampaignRunner::stage_inputs(std::uint64_t activation) {
-  // Staged DMA-style: the staged ranges must be invalidated explicitly
-  // (LEON3 DMA is not cache-coherent).  After a skip in the activation
-  // sequence (shard boundary) the incremental dirty ranges no longer cover
-  // the guest/mirror difference, so the full persistent state is re-staged.
-  // A kStatic re-flash restarts guest state from the image contents, so it
-  // always stages the current mirror incrementally-from-initial (the
-  // target rebuilt the mirror from scratch in advance_inputs).
+  // After a skip in the activation sequence (shard boundary) this
+  // activation's changes no longer cover the guest/host difference, so the
+  // full persistent state is re-staged.  A kStatic re-flash restarts guest
+  // memory from the image contents, and advance_inputs restarted the host
+  // state likewise, so the activation's changes suffice.
   const bool consecutive =
       staged_activation_ && activation == *staged_activation_ + 1;
   const bool full_resync =
       config_.randomisation != Randomisation::kStatic && !consecutive;
-  for (const auto& [addr, length] :
-       target_->stage_inputs(memory_, image_, full_resync)) {
-    note_staged_range(addr, length);
-  }
+  target_->stage(memory_, hierarchy_, image_, full_resync);
   staged_activation_ = activation;
 }
 
 std::uint32_t CampaignRunner::measured_entry() const {
   return uses_dsr(config_.randomisation) ? runtime_->entry_address()
                                          : image_.entry_addr();
-}
-
-void CampaignRunner::note_staged_range(std::uint32_t addr,
-                                       std::uint32_t length) {
-  hierarchy_.note_memory_written(addr, length);
-  hierarchy_.invalidate_range(addr, length);
 }
 
 void CampaignRunner::configure_taint_ranges() {
@@ -201,7 +221,7 @@ void CampaignRunner::configure_taint_ranges() {
 
 void CampaignRunner::verify_measured() {
   if (!target_->verify(memory_, image_)) {
-    fault(std::string(target_->name()) +
+    fault(std::string(measured_target_name(config_.measured)) +
           " outputs diverge from the golden model");
   }
   ++verified_runs_;
@@ -226,20 +246,14 @@ void CampaignRunner::setup(std::uint64_t run_index) {
 
   obs_begin_run();
 
-  // Warm-up activations occupy the first `warmup_runs` slots of the global
-  // activation sequence: they advance the input stream (host-side replay)
-  // but are never executed — the protocol rebuilds the platform state from
-  // scratch every run, so an unmeasured extra activation has no observable
-  // effect beyond its input-stream consumption.
-  const std::uint64_t activation = config_.warmup_runs + run_index;
   if (hv_) {
-    hv_setup(activation);
+    hv_setup(run_index);
     return;
   }
   apply_randomisation(exec::derive_run_seed(
-      config_.layout_seed, exec::SeedStream::kLayout, activation));
-  target_->advance_inputs(activation);
-  stage_inputs(activation);
+      config_.layout_seed, exec::SeedStream::kLayout, run_index));
+  advance_inputs(run_index);
+  stage_inputs(run_index);
 }
 
 void CampaignRunner::execute() {
@@ -309,9 +323,7 @@ RunSample CampaignRunner::collect() {
   sample.counters = hierarchy_.counters();
 
   // Functional verification against the host golden model.
-  if (config_.verify_outputs) {
-    verify_measured();
-  }
+  verify_measured();
   obs_publish_run(sample);
   return sample;
 }

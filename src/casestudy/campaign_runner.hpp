@@ -5,11 +5,11 @@
 //
 // The runner is target-agnostic: everything specific to the program under
 // measurement (generation + UoA instrumentation, base layout, input
-// mirror, staging, golden model) lives behind `casestudy::MeasuredTarget`
+// state, staging, golden model) lives behind `casestudy::Task`
 // (measured_target.hpp), selected by `CampaignConfig::measured`.  The
-// runner owns the protocol itself — seed derivation, the randomisation
-// arms, flush/warm-up/measure, trace extraction — identically for every
-// target.
+// runner owns the protocol itself — seed derivation, the measured input
+// policy, the randomisation arms, flush/warm-up/measure, trace extraction
+// — identically for every target.
 //
 // Determinism contract
 // --------------------
@@ -37,6 +37,7 @@
 #include "isa/linker.hpp"
 #include "mem/guest_memory.hpp"
 #include "mem/hierarchy.hpp"
+#include "rng/mwc.hpp"
 #include "trace/trace.hpp"
 #include "vm/taint.hpp"
 #include "vm/vm.hpp"
@@ -81,8 +82,6 @@ public:
   RunSample run(std::uint64_t run_index);
 
   const CampaignConfig& config() const noexcept { return config_; }
-  /// The program under measurement (selected by `config().measured`).
-  const MeasuredTarget& target() const noexcept { return *target_; }
   const dsr::PassReport& pass_report() const noexcept { return pass_report_; }
   std::uint32_t code_bytes() const noexcept { return code_bytes_; }
   std::uint64_t verified_runs() const noexcept { return verified_runs_; }
@@ -109,15 +108,14 @@ private:
   /// layout seed (the bare protocol derives it per run, the hv mode per
   /// partition — one switch serves both).
   void apply_randomisation(std::uint64_t layout_seed);
+  /// The measured input policy, the one place it is written: bring the
+  /// target's input state to global activation `activation` (pinned
+  /// inputs, replay across shard skips, or a restart after a re-flash).
+  void advance_inputs(std::uint64_t activation);
   void stage_inputs(std::uint64_t activation);
   /// Entry point of the measured program under the layout in force now:
   /// the DSR runtime's entry stub, or the image's fixed entry.
   std::uint32_t measured_entry() const;
-  /// DMA-coherence protocol for a freshly staged guest-memory range:
-  /// LEON3 DMA is not cache-coherent, so every stage site (measured
-  /// target and every hv guest app) must notify the hierarchy and
-  /// invalidate the range through this one helper.
-  void note_staged_range(std::uint32_t addr, std::uint32_t length);
   /// (Re-)declare the dynamic taint ranges on the VM: sinks from the
   /// measured target's observable symbols, sources from the DSR tables.
   /// No-op unless config_.taint; called again after a static re-link
@@ -152,7 +150,10 @@ private:
   void hv_publish_obs();
 
   CampaignConfig config_;
-  std::unique_ptr<MeasuredTarget> target_; // input mirror lives here
+  std::unique_ptr<Task> target_; // host-side input state lives here
+  rng::Mwc input_rng_;           // reseeded per activation drawn
+  /// Activations drawn from the measured input stream so far.
+  std::uint64_t next_input_ = 0;
   dsr::PassReport pass_report_;
   isa::Program program_;
   std::unique_ptr<rng::RandomSource> layout_rng_;

@@ -588,17 +588,17 @@ void refresh_control_inputs(rng::RandomSource& random,
   }
 }
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
-stage_control_inputs(mem::GuestMemory& memory, const isa::LinkedImage& image,
-                     const ControlInputs& inputs) {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> staged;
+void stage_control_inputs(mem::GuestMemory& memory,
+                          mem::MemoryHierarchy& hierarchy,
+                          const isa::LinkedImage& image,
+                          const ControlInputs& inputs) {
   const std::uint32_t wf = image.symbol(kWavefrontSym).addr;
   for (std::size_t m = 0; m < inputs.wavefront.size(); ++m) {
     memory.write_f64(wf + static_cast<std::uint32_t>(8 * m),
                      inputs.wavefront[m]);
   }
-  staged.emplace_back(wf,
-                      static_cast<std::uint32_t>(8 * inputs.wavefront.size()));
+  hierarchy.dma_written(
+      wf, static_cast<std::uint32_t>(8 * inputs.wavefront.size()));
 
   if (inputs.telemetry_dirty_bytes != 0) {
     const std::uint32_t base =
@@ -607,7 +607,7 @@ stage_control_inputs(mem::GuestMemory& memory, const isa::LinkedImage& image,
       memory.write_u8(base + i,
                       inputs.telemetry[inputs.telemetry_dirty_offset + i]);
     }
-    staged.emplace_back(base, inputs.telemetry_dirty_bytes);
+    hierarchy.dma_written(base, inputs.telemetry_dirty_bytes);
   }
 
   if (inputs.packets_dirty) {
@@ -641,7 +641,7 @@ stage_control_inputs(mem::GuestMemory& memory, const isa::LinkedImage& image,
         memory.write_u32(packets_addr + 4 * (first + w),
                          inputs.packets[first + w]);
       }
-      staged.emplace_back(packets_addr + 4 * first, block_words * 4);
+      hierarchy.dma_written(packets_addr + 4 * first, block_words * 4);
     }
   }
 
@@ -650,11 +650,10 @@ stage_control_inputs(mem::GuestMemory& memory, const isa::LinkedImage& image,
   for (std::uint32_t i = 0; i < kStatusBytes; i += 4) {
     memory.write_u32(status + i, 0);
   }
-  staged.emplace_back(status, kStatusBytes);
+  hierarchy.dma_written(status, kStatusBytes);
   const std::uint32_t mirror = image.symbol(kMirrorSym).addr;
   memory.write_u32(mirror, 0);
-  staged.emplace_back(mirror, 4);
-  return staged;
+  hierarchy.dma_written(mirror, 4);
 }
 
 ControlOutputs read_control_outputs(const mem::GuestMemory& memory,

@@ -32,8 +32,8 @@
 //    re-hit the L2 — giving the 17-25% L2 miss ratios of Table I.
 //  * Per activation only a small input set changes: the wavefront vector,
 //    one fresh 1 KiB telemetry chunk, and the spacecraft protocol's
-//    mode-change packet block.  Staging models a DMA transfer: the staged
-//    ranges must be invalidated in the caches (no DMA coherence on LEON3).
+//    mode-change packet block.  Staging models a DMA transfer and
+//    invalidates what it writes in the caches (no DMA coherence on LEON3).
 //
 // The *recovery* path is where the paper's "bad and rare cache layout"
 // lives: under the COTS link layout (kCotsBad) the protocol packet block is
@@ -46,10 +46,10 @@
 #include "isa/linker.hpp"
 #include "isa/program.hpp"
 #include "mem/guest_memory.hpp"
+#include "mem/hierarchy.hpp"
 #include "rng/random_source.hpp"
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace proxima::casestudy {
@@ -150,12 +150,13 @@ void mark_control_inputs_fully_dirty(ControlInputs& inputs);
 void refresh_control_inputs(rng::RandomSource& random,
                             const ControlParams& params, ControlInputs& io);
 
-/// Write the dirty parts into guest memory.  Returns the staged (addr,
-/// length) ranges; the caller must invalidate them in the cache hierarchy
-/// (LEON3 DMA is not cache-coherent).
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
-stage_control_inputs(mem::GuestMemory& memory, const isa::LinkedImage& image,
-                     const ControlInputs& inputs);
+/// Write the dirty parts into guest memory DMA-style, invalidating each
+/// written range in `hierarchy` as it goes (LEON3 DMA is not
+/// cache-coherent).
+void stage_control_inputs(mem::GuestMemory& memory,
+                          mem::MemoryHierarchy& hierarchy,
+                          const isa::LinkedImage& image,
+                          const ControlInputs& inputs);
 
 /// Outputs read back after an activation.
 struct ControlOutputs {

@@ -93,7 +93,6 @@ std::uint64_t config_fingerprint(const CampaignConfig& config) {
   fold.u64("layout", static_cast<std::uint64_t>(config.layout));
   fold.u64("randomisation",
            static_cast<std::uint64_t>(config.randomisation));
-  fold.u64("warmup_runs", config.warmup_runs);
   fold.u64("input_seed", config.input_seed);
   fold.u64("layout_seed", config.layout_seed);
   fold.u64("prng", static_cast<std::uint64_t>(config.prng));
@@ -116,7 +115,6 @@ std::uint64_t config_fingerprint(const CampaignConfig& config) {
   for (const std::string& name : config.function_order) {
     fold.str("function_order.entry", name);
   }
-  fold.boolean("verify_outputs", config.verify_outputs);
   fold.boolean("fixed_inputs", config.fixed_inputs);
   // Dynamic taint never changes times, but it adds the leak.* metrics a
   // stored cell replays.

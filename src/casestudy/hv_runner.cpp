@@ -30,7 +30,6 @@
 // stream.
 #include "casestudy/campaign_runner.hpp"
 
-#include "casestudy/stressor_task.hpp"
 #include "exec/seed.hpp"
 #include "obs/timeline.hpp"
 #include "rng/mwc.hpp"
@@ -74,8 +73,6 @@ constexpr GuestPlacement kStressorGuest{0x4500'0000, 0x4510'0000,
 constexpr GuestPlacement kControlGuest{0x4600'0000, 0x4610'0000,
                                        0x4680'0000, kControlSeedIndex};
 
-using StagedRanges = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
-
 std::uint32_t measured_seed_index(MeasuredTargetKind kind) {
   switch (kind) {
   case MeasuredTargetKind::kImage:
@@ -115,34 +112,44 @@ struct CampaignRunner::HvState {
     CampaignRunner& runner_;
   };
 
-  /// An interference guest partition.  Everything but the task itself is
-  /// the same for every kind: the image linked at the kind's placement,
-  /// the per-run reseed of the kind's frozen partition stream, the
-  /// first-activation-of-run flag, the DMA-coherence protocol for every
-  /// staged range, and the golden-check fault.  A kind supplies stage(),
-  /// matches_golden() and, if it keeps state across activations, restart().
-  class GuestApp : public rtos::PartitionApp {
+  /// An interference guest partition: a task linked at its kind's
+  /// placement.  Every activation draws fresh inputs from the kind's
+  /// frozen partition stream, reseeded at each run's start, and stages
+  /// them; the run's first activation stages in full, because guest memory
+  /// still holds the previous run's state.  The task's state restarts from
+  /// the image's load-time contents each run, so — unlike the measured
+  /// control path, whose stream survives across runs — a guest is a pure
+  /// function of the run index with no cross-run host-side replay.
+  class GuestApp final : public rtos::PartitionApp {
   public:
+    GuestApp(CampaignRunner& runner, std::string partition,
+             const GuestPlacement& placement, std::unique_ptr<Task> task)
+        : runner_(runner), partition_(std::move(partition)),
+          placement_(placement), task_(std::move(task)), rng_(1),
+          image_(isa::link(task_->program(), guest_link_options(placement))) {
+      image_.load_into(runner_.memory_);
+      runner_.cpu_.predecode(image_.code_begin(),
+                             image_.code_end() - image_.code_begin());
+    }
     // The hypervisor holds the guest's address.
     GuestApp(const GuestApp&) = delete;
     GuestApp& operator=(const GuestApp&) = delete;
 
     const std::string& partition() const noexcept { return partition_; }
-    std::uint32_t entry_address() final { return image_.entry_addr(); }
-    std::uint32_t stack_top() final { return placement_.stack_top; }
+    std::uint32_t entry_address() override { return image_.entry_addr(); }
+    std::uint32_t stack_top() override { return placement_.stack_top; }
 
     void begin_run(std::uint64_t activation) {
       rng_.seed(exec::derive_partition_seed(runner_.config_.input_seed,
                                             exec::SeedStream::kInput,
                                             activation, placement_.seed_index));
-      restart();
+      task_->restart();
       first_of_run_ = true;
     }
 
-    void before_activation(std::uint64_t) final {
-      for (const auto& [addr, length] : stage(rng_, first_of_run_)) {
-        runner_.note_staged_range(addr, length);
-      }
+    void before_activation(std::uint64_t) override {
+      task_->draw(rng_);
+      task_->stage(runner_.memory_, runner_.hierarchy_, image_, first_of_run_);
       first_of_run_ = false;
     }
 
@@ -150,120 +157,20 @@ struct CampaignRunner::HvState {
     /// still resident when the schedule completes); nothing to check if the
     /// guest did not activate this run.
     void verify_last() const {
-      if (!first_of_run_ && !matches_golden()) {
+      if (!first_of_run_ && !task_->verify(runner_.memory_, image_)) {
         runner_.fault(partition_ +
                       " guest outputs diverge from the golden model");
       }
     }
 
-  protected:
-    GuestApp(CampaignRunner& runner, std::string partition,
-             const GuestPlacement& placement, const isa::Program& program)
-        : runner_(runner), partition_(std::move(partition)),
-          placement_(placement), rng_(1),
-          image_(isa::link(program, guest_link_options(placement))) {
-      image_.load_into(runner_.memory_);
-      runner_.cpu_.predecode(image_.code_begin(),
-                             image_.code_end() - image_.code_begin());
-    }
-
-    mem::GuestMemory& memory() const { return runner_.memory_; }
-    const isa::LinkedImage& image() const { return image_; }
-
   private:
-    /// Reset the kind's state at the start of a run (default: none kept).
-    virtual void restart() {}
-    /// Draw one activation's inputs from `rng` and write them into guest
-    /// memory; returns the staged ranges.  `first_of_run`: guest memory
-    /// still holds the previous run's state.
-    virtual StagedRanges stage(rng::Mwc& rng, bool first_of_run) = 0;
-    virtual bool matches_golden() const = 0;
-
     CampaignRunner& runner_;
     std::string partition_;
     GuestPlacement placement_;
+    std::unique_ptr<Task> task_;
     rng::Mwc rng_;
     isa::LinkedImage image_;
     bool first_of_run_ = true;
-  };
-
-  /// The control task as an interference guest (the measured target is
-  /// another partition): a fresh input refresh every minor frame.  The
-  /// persistent instrument state restarts from the image's load-time
-  /// contents each run and is staged in full at the run's first
-  /// activation, so the whole guest is a pure function of the run index
-  /// without cross-run host-side replay (unlike the measured control path,
-  /// whose stream survives across runs).
-  class ControlGuest final : public GuestApp {
-  public:
-    ControlGuest(CampaignRunner& runner, const ControlParams& params)
-        : GuestApp(runner,
-                   measured_partition_name(MeasuredTargetKind::kControl),
-                   kControlGuest, build_control_program(params)),
-          params_(params), inputs_(initial_control_inputs(params)) {}
-
-  private:
-    void restart() override { inputs_ = initial_control_inputs(params_); }
-    StagedRanges stage(rng::Mwc& rng, bool first_of_run) override {
-      refresh_control_inputs(rng, params_, inputs_);
-      if (!first_of_run) {
-        return stage_control_inputs(memory(), image(), inputs_);
-      }
-      ControlInputs full = inputs_;
-      mark_control_inputs_fully_dirty(full);
-      return stage_control_inputs(memory(), image(), full);
-    }
-    bool matches_golden() const override {
-      return reference_control(params_, inputs_) ==
-             read_control_outputs(memory(), image(), params_);
-    }
-
-    ControlParams params_;
-    ControlInputs inputs_;
-  };
-
-  /// The image-processing task as a low-criticality guest: a fresh sensor
-  /// frame every activation.
-  class ImageGuest final : public GuestApp {
-  public:
-    ImageGuest(CampaignRunner& runner, const ImageParams& params)
-        : GuestApp(runner, measured_partition_name(MeasuredTargetKind::kImage),
-                   kImageGuest, build_image_program(params)),
-          params_(params) {}
-
-  private:
-    StagedRanges stage(rng::Mwc& rng, bool) override {
-      inputs_ = make_image_inputs(rng, params_);
-      return stage_image_inputs(memory(), image(), inputs_);
-    }
-    bool matches_golden() const override {
-      return reference_image(params_, inputs_) ==
-             read_image_outputs(memory(), image(), params_);
-    }
-
-    ImageParams params_;
-    ImageInputs inputs_;
-  };
-
-  /// The synthetic L2-evicting sweep (default StressorParams) as a
-  /// low-criticality guest: a fresh salt every activation.
-  class StressorGuest final : public GuestApp {
-  public:
-    explicit StressorGuest(CampaignRunner& runner)
-        : GuestApp(runner, "stressor", kStressorGuest,
-                   build_stressor_program()) {}
-
-  private:
-    StagedRanges stage(rng::Mwc& rng, bool) override {
-      salt_ = rng.next_u32();
-      return stage_stressor_inputs(memory(), image(), salt_);
-    }
-    bool matches_golden() const override {
-      return reference_stressor(StressorParams{}, salt_) ==
-             read_stressor_outputs(memory(), image());
-    }
-
-    std::uint32_t salt_ = 0;
   };
 
   HvState(CampaignRunner& runner, const HvCampaignConfig& hv)
@@ -271,16 +178,22 @@ struct CampaignRunner::HvState {
         measured_partition(
             measured_partition_name(runner.config_.measured)),
         hypervisor(runner.cpu_, runner.hierarchy_) {
+    // A guest task takes its parameters from the config the measured
+    // target reads too.
+    const CampaignConfig& config = runner.config_;
     if (hv.control_guest) {
-      guests.push_back(
-          std::make_unique<ControlGuest>(runner, runner.config_.control));
+      guests.push_back(std::make_unique<GuestApp>(
+          runner, measured_partition_name(MeasuredTargetKind::kControl),
+          kControlGuest, make_task(MeasuredTargetKind::kControl, config)));
     }
     if (hv.image_guest) {
-      guests.push_back(
-          std::make_unique<ImageGuest>(runner, runner.config_.image));
+      guests.push_back(std::make_unique<GuestApp>(
+          runner, measured_partition_name(MeasuredTargetKind::kImage),
+          kImageGuest, make_task(MeasuredTargetKind::kImage, config)));
     }
     if (hv.stressor_guest) {
-      guests.push_back(std::make_unique<StressorGuest>(runner));
+      guests.push_back(std::make_unique<GuestApp>(
+          runner, "stressor", kStressorGuest, make_stressor_task()));
     }
     // The measured partition activates once per run, in the LAST minor
     // frame, so every guest activation of the run precedes the measured
@@ -356,7 +269,7 @@ void CampaignRunner::hv_setup(std::uint64_t activation) {
   apply_randomisation(exec::derive_partition_seed(
       config_.layout_seed, exec::SeedStream::kLayout, activation,
       measured_seed_index(config_.measured)));
-  target_->advance_inputs(activation);
+  advance_inputs(activation);
   stage_inputs(activation);
   for (const std::unique_ptr<HvState::GuestApp>& guest : hv_->guests) {
     guest->begin_run(activation);
@@ -420,12 +333,10 @@ RunSample CampaignRunner::hv_collect() {
     fault("measured activation hit the budget fence");
   }
 
-  if (config_.verify_outputs) {
-    for (const std::unique_ptr<HvState::GuestApp>& guest : hv_->guests) {
-      guest->verify_last();
-    }
-    verify_measured();
+  for (const std::unique_ptr<HvState::GuestApp>& guest : hv_->guests) {
+    guest->verify_last();
   }
+  verify_measured();
   return sample;
 }
 

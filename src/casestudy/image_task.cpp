@@ -289,17 +289,18 @@ ImageInputs make_image_inputs(rng::RandomSource& random,
   return inputs;
 }
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
-stage_image_inputs(mem::GuestMemory& memory, const isa::LinkedImage& image,
-                   const ImageInputs& inputs) {
+void stage_image_inputs(mem::GuestMemory& memory,
+                        mem::MemoryHierarchy& hierarchy,
+                        const isa::LinkedImage& image,
+                        const ImageInputs& inputs) {
   const std::uint32_t frame = image.symbol(kFrameSym).addr;
   memory.load(frame, inputs.frame);
+  hierarchy.dma_written(frame, static_cast<std::uint32_t>(inputs.frame.size()));
   const std::uint32_t status = image.symbol(kStatusSym).addr;
   for (std::uint32_t i = 0; i < 16; i += 4) {
     memory.write_u32(status + i, 0);
   }
-  return {{frame, static_cast<std::uint32_t>(inputs.frame.size())},
-          {status, 16}};
+  hierarchy.dma_written(status, 16);
 }
 
 ImageOutputs read_image_outputs(const mem::GuestMemory& memory,

@@ -23,10 +23,10 @@
 #include "isa/linker.hpp"
 #include "isa/program.hpp"
 #include "mem/guest_memory.hpp"
+#include "mem/hierarchy.hpp"
 #include "rng/random_source.hpp"
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace proxima::casestudy {
@@ -55,12 +55,12 @@ struct ImageInputs {
 ImageInputs make_image_inputs(rng::RandomSource& random,
                               const ImageParams& params);
 
-/// Write the frame and clear the status record.  Returns the staged
-/// (addr, length) ranges; the caller must invalidate them in the cache
-/// hierarchy (LEON3 DMA is not cache-coherent).
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
-stage_image_inputs(mem::GuestMemory& memory, const isa::LinkedImage& image,
-                   const ImageInputs& inputs);
+/// Write the frame and clear the status record DMA-style, invalidating
+/// each written range in `hierarchy` (LEON3 DMA is not cache-coherent).
+void stage_image_inputs(mem::GuestMemory& memory,
+                        mem::MemoryHierarchy& hierarchy,
+                        const isa::LinkedImage& image,
+                        const ImageInputs& inputs);
 
 struct ImageOutputs {
   std::uint32_t processed_lenses = 0;

@@ -98,20 +98,22 @@ LeakInputs make_leak_inputs(rng::Mwc& rng, const LeakParams& params) {
   return inputs;
 }
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
-stage_leak_inputs(mem::GuestMemory& memory, const isa::LinkedImage& image,
-                  const LeakInputs& inputs) {
+void stage_leak_inputs(mem::GuestMemory& memory,
+                       mem::MemoryHierarchy& hierarchy,
+                       const isa::LinkedImage& image,
+                       const LeakInputs& inputs) {
   const std::uint32_t input_addr = image.symbol(kInputSym).addr;
-  const std::uint32_t status_addr = image.symbol(kStatusSym).addr;
   for (std::size_t i = 0; i < inputs.block.size(); ++i) {
     memory.write_u32(input_addr + static_cast<std::uint32_t>(i) * 4,
                      inputs.block[i]);
   }
+  hierarchy.dma_written(input_addr,
+                        static_cast<std::uint32_t>(inputs.block.size()) * 4);
+  const std::uint32_t status_addr = image.symbol(kStatusSym).addr;
   for (std::uint32_t off = 0; off < 16; off += 4) {
     memory.write_u32(status_addr + off, 0);
   }
-  return {{input_addr, static_cast<std::uint32_t>(inputs.block.size()) * 4},
-          {status_addr, 16}};
+  hierarchy.dma_written(status_addr, 16);
 }
 
 LeakOutputs read_leak_outputs(const mem::GuestMemory& memory,

@@ -19,10 +19,10 @@
 #include "isa/linker.hpp"
 #include "isa/program.hpp"
 #include "mem/guest_memory.hpp"
+#include "mem/hierarchy.hpp"
 #include "rng/mwc.hpp"
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace proxima::casestudy {
@@ -52,11 +52,12 @@ struct LeakInputs {
 /// Draw one activation's input block (pure function of the rng state).
 LeakInputs make_leak_inputs(rng::Mwc& rng, const LeakParams& params);
 
-/// DMA-style staging; returns the staged (addr, length) ranges for cache
-/// invalidation, like the other tasks.
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
-stage_leak_inputs(mem::GuestMemory& memory, const isa::LinkedImage& image,
-                  const LeakInputs& inputs);
+/// DMA-style staging that invalidates each written range in `hierarchy`,
+/// like the other tasks.
+void stage_leak_inputs(mem::GuestMemory& memory,
+                       mem::MemoryHierarchy& hierarchy,
+                       const isa::LinkedImage& image,
+                       const LeakInputs& inputs);
 
 struct LeakOutputs {
   std::uint32_t signature = 0;

@@ -3,6 +3,7 @@
 #include "isa/builder.hpp"
 
 #include <stdexcept>
+#include <vector>
 
 namespace proxima::casestudy {
 
@@ -97,14 +98,15 @@ isa::Program build_stressor_program(const StressorParams& params) {
   return program;
 }
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
-stage_stressor_inputs(mem::GuestMemory& memory, const isa::LinkedImage& image,
-                      std::uint32_t salt) {
+void stage_stressor_inputs(mem::GuestMemory& memory,
+                           mem::MemoryHierarchy& hierarchy,
+                           const isa::LinkedImage& image, std::uint32_t salt) {
   const std::uint32_t salt_addr = image.symbol(kSaltSym).addr;
-  const std::uint32_t status_addr = image.symbol(kStatusSym).addr;
   memory.write_u32(salt_addr, salt);
+  hierarchy.dma_written(salt_addr, 4);
+  const std::uint32_t status_addr = image.symbol(kStatusSym).addr;
   memory.write_u32(status_addr, 0);
-  return {{salt_addr, 4}, {status_addr, 4}};
+  hierarchy.dma_written(status_addr, 4);
 }
 
 StressorOutputs read_stressor_outputs(const mem::GuestMemory& memory,

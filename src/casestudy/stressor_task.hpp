@@ -19,10 +19,9 @@
 #include "isa/linker.hpp"
 #include "isa/program.hpp"
 #include "mem/guest_memory.hpp"
+#include "mem/hierarchy.hpp"
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 namespace proxima::casestudy {
 
@@ -45,12 +44,12 @@ isa::Program build_stressor_program(const StressorParams& params = {});
 /// The deterministic buffer word the generator embeds at word `index`.
 std::uint32_t stressor_word(std::uint32_t index);
 
-/// Write the per-activation salt and clear the status word.  Returns the
-/// staged (addr, length) ranges; the caller must invalidate them in the
-/// cache hierarchy (DMA-style staging, as for the other tasks).
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
-stage_stressor_inputs(mem::GuestMemory& memory, const isa::LinkedImage& image,
-                      std::uint32_t salt);
+/// Write the per-activation salt and clear the status word DMA-style,
+/// invalidating each written range in `hierarchy` (as for the other
+/// tasks).
+void stage_stressor_inputs(mem::GuestMemory& memory,
+                           mem::MemoryHierarchy& hierarchy,
+                           const isa::LinkedImage& image, std::uint32_t salt);
 
 struct StressorOutputs {
   std::uint32_t signature = 0;

@@ -69,7 +69,7 @@ LintResult lint_scenario(const std::string& name,
   // Static pass: analyse the program the campaign actually executes —
   // the measured target's build plus the DSR compiler pass for DSR arms
   // (the pass inserts the stubs/tables whose flows the lattice models).
-  const std::unique_ptr<casestudy::MeasuredTarget> target =
+  const std::unique_ptr<casestudy::Task> target =
       casestudy::make_measured_target(config);
   isa::Program program = target->build_program();
   if (casestudy::uses_dsr(config.randomisation)) {

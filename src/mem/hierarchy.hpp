@@ -178,6 +178,15 @@ public:
   /// caches (DSR relocation, partition loader).  Marks covering lines stale.
   void note_memory_written(std::uint32_t addr, std::uint32_t length);
 
+  /// A DMA transfer rewrote [addr, addr+length): LEON3 DMA is not
+  /// cache-coherent, so mark the covering lines stale, then invalidate
+  /// them.  Every input-staging function calls this once per range it
+  /// writes, right after writing it.
+  void dma_written(std::uint32_t addr, std::uint32_t length) {
+    note_memory_written(addr, length);
+    invalidate_range(addr, length);
+  }
+
   /// When enabled, a hit on a stale line throws CoherenceError instead of
   /// just counting (failure-injection tests use this).
   void set_strict_coherence(bool strict) noexcept { strict_ = strict; }

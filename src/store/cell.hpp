@@ -97,8 +97,8 @@ public:
 
   /// Append the runs [first_index, first_index + samples.size()) that are
   /// not already stored.  `run_metrics` is empty or parallel to `samples`;
-  /// `verified` stamps every appended record (the campaign contract:
-  /// verify_outputs either verified every collected run or threw).
+  /// `verified` stamps every appended record (the campaign contract: a
+  /// campaign verifies every collected run or throws).
   void append(std::uint64_t first_index,
               std::span<const casestudy::RunSample> samples,
               std::span<const obs::MetricsShard> run_metrics, bool verified);

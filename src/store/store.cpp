@@ -92,14 +92,16 @@ PrefixArrays load_prefix(const std::string& path, const CellHeader& expected,
 }
 
 /// Attach a persisting sample sink for `writer` to the engine options.
-/// The engine serialises sink calls, so the writer needs no locking.
+/// The engine serialises sink calls, so the writer needs no locking.  Every
+/// record is stamped verified: a campaign verifies each collected run
+/// against the golden model or throws.
 void attach_sink(exec::EngineOptions& options,
-                 const std::shared_ptr<CellWriter>& writer, bool verified) {
+                 const std::shared_ptr<CellWriter>& writer) {
   options.sample_sink =
-      [writer, verified](const exec::ShardRange& range,
-                         std::span<const casestudy::RunSample> samples,
-                         std::span<const obs::MetricsShard> run_metrics) {
-        writer->append(range.begin, samples, run_metrics, verified);
+      [writer](const exec::ShardRange& range,
+               std::span<const casestudy::RunSample> samples,
+               std::span<const obs::MetricsShard> run_metrics) {
+        writer->append(range.begin, samples, run_metrics, true);
       };
 }
 
@@ -147,7 +149,7 @@ CampaignStore::run(const std::string& scenario,
     // spent.
     std::filesystem::create_directories(root_);
     writer = std::make_shared<CellWriter>(path, header);
-    attach_sink(options, writer, config.verify_outputs);
+    attach_sink(options, writer);
   }
   const exec::CampaignEngine engine(std::move(options));
   casestudy::CampaignResult result = engine.run(config, prefix.view());
@@ -176,7 +178,7 @@ CampaignStore::run_adaptive(const std::string& scenario,
     // appends nothing — opening it is still cheap and keeps one code path.
     std::filesystem::create_directories(root_);
     writer = std::make_shared<CellWriter>(path, header);
-    attach_sink(options, writer, config.verify_outputs);
+    attach_sink(options, writer);
   }
   const exec::CampaignEngine engine(std::move(options));
   exec::AdaptiveCampaignResult result =

@@ -43,7 +43,7 @@ ControlRun run_control_once(const ControlParams& params, std::uint64_t seed,
   rng::Mwc random(seed);
   ControlInputs inputs = initial_control_inputs(params);
   refresh_control_inputs(random, params, inputs);
-  stage_control_inputs(memory, image, inputs);
+  stage_control_inputs(memory, hierarchy, image, inputs);
   hierarchy.flush_all();
   cpu.reset(image.entry_addr(), kStackTop);
   const vm::RunResult result = cpu.run();
@@ -141,13 +141,13 @@ TEST(ControlTask, StagingWritesExactlyTheDirtyState) {
   const isa::LinkedImage image =
       isa::link(program, control_layout(params, Layout::kCotsBad, kStackTop));
   mem::GuestMemory memory;
+  mem::MemoryHierarchy hierarchy(mem::leon3_hierarchy_config());
   image.load_into(memory);
 
   rng::Mwc random(11);
   ControlInputs inputs = initial_control_inputs(params);
   refresh_control_inputs(random, params, inputs);
-  const auto staged = stage_control_inputs(memory, image, inputs);
-  EXPECT_GE(staged.size(), 4u); // wavefront, chunk, block, status, mirror
+  stage_control_inputs(memory, hierarchy, image, inputs);
 
   // Memory now mirrors the full effective state.
   const std::uint32_t telemetry = image.symbol("cs_telemetry").addr;
@@ -205,7 +205,7 @@ ImageRun run_image_once(const ImageParams& params, std::uint64_t seed) {
 
   rng::Mwc random(seed);
   const ImageInputs inputs = make_image_inputs(random, params);
-  stage_image_inputs(memory, image, inputs);
+  stage_image_inputs(memory, hierarchy, image, inputs);
   hierarchy.flush_all();
   cpu.reset(image.entry_addr(), kStackTop);
   const vm::RunResult result = cpu.run();
@@ -259,7 +259,7 @@ TEST(ImageTask, InputDependentDuration) {
     vm::Vm cpu(memory, hierarchy);
     image.load_into(memory);
     rng::Mwc random(seed);
-    stage_image_inputs(memory, image, make_image_inputs(random, p));
+    stage_image_inputs(memory, hierarchy, image, make_image_inputs(random, p));
     hierarchy.flush_all();
     cpu.reset(image.entry_addr(), kStackTop);
     cpu.run();

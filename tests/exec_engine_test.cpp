@@ -168,23 +168,6 @@ TEST(CampaignEngine, AnalysisProtocolDeterminism) {
   }
 }
 
-TEST(CampaignEngine, WarmupInteraction) {
-  // Warm-up activations shift the global activation indices, so they must
-  // shift them identically for both execution styles.
-  CampaignConfig config = small_config(Randomisation::kNone, 6);
-  config.warmup_runs = 5;
-  const CampaignResult sequential = run_control_campaign(config);
-  const CampaignResult parallel =
-      exec::CampaignEngine(worker_options(3)).run(config);
-  expect_identical(sequential, parallel);
-
-  // And they must actually shift the measurements: without warm-up the
-  // derived input seeds differ.
-  const CampaignResult no_warmup =
-      run_control_campaign(small_config(Randomisation::kNone, 6));
-  EXPECT_NE(sequential.times, no_warmup.times);
-}
-
 TEST(CampaignEngine, FewerRunsThanWorkers) {
   const CampaignConfig config = small_config(Randomisation::kNone, 3);
   const CampaignResult sequential = run_control_campaign(config);

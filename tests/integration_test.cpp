@@ -41,7 +41,7 @@ TEST_P(RandomisationSweep, FunctionalOutputsInvariant) {
   config.runs = 5;
   config.randomisation = randomisation;
   config.layout_seed = static_cast<std::uint64_t>(seed) * 7919;
-  config.verify_outputs = true; // throws on any divergence
+  // Every run is verified; a divergence throws.
   const CampaignResult result = run_control_campaign(config);
   EXPECT_EQ(result.verified_runs, 5u);
 }
@@ -83,7 +83,7 @@ TEST(Integration, DsrOnImageTaskPreservesOutputs) {
 
     rng::Mwc input_rng(seed + 100);
     const ImageInputs inputs = make_image_inputs(input_rng, params);
-    stage_image_inputs(memory, image, inputs);
+    stage_image_inputs(memory, hierarchy, image, inputs);
     hierarchy.flush_all();
     cpu.reset(runtime.entry_address(), kStackTop);
     ASSERT_EQ(cpu.run().stop, vm::RunResult::Stop::kHalt);
@@ -120,11 +120,7 @@ public:
   std::uint32_t stack_top() override { return kStackTop; }
   void before_activation(std::uint64_t) override {
     refresh_control_inputs(input_rng_, params_, inputs_);
-    for (const auto& [addr, len] :
-         stage_control_inputs(memory_, image_, inputs_)) {
-      hierarchy_.note_memory_written(addr, len);
-      hierarchy_.invalidate_range(addr, len);
-    }
+    stage_control_inputs(memory_, hierarchy_, image_, inputs_);
   }
   void reboot() override { runtime_->rerandomise(); }
 
@@ -206,7 +202,7 @@ TEST(Integration, MissingInvalidationRoutineIsFatalUnderStrictChecking) {
   rng::Mwc input_rng(6);
   ControlInputs inputs = initial_control_inputs(params);
   refresh_control_inputs(input_rng, params, inputs);
-  stage_control_inputs(memory, image, inputs);
+  stage_control_inputs(memory, hierarchy, image, inputs);
   hierarchy.flush_all();
   cpu.reset(runtime.entry_address(), kStackTop);
   ASSERT_EQ(cpu.run().stop, vm::RunResult::Stop::kHalt); // first run fine
@@ -236,7 +232,7 @@ TEST(Integration, CampaignDetectsFunctionalDivergence) {
   rng::Mwc input_rng(1);
   ControlInputs inputs = initial_control_inputs(config.control);
   refresh_control_inputs(input_rng, config.control, inputs);
-  stage_control_inputs(memory, image, inputs);
+  stage_control_inputs(memory, hierarchy, image, inputs);
   // Tamper with the matrix AFTER staging.
   memory.write_u32(image.symbol("cs_matrix").addr, 0xdeadbeef);
   hierarchy.flush_all();

@@ -3,17 +3,26 @@
 // (the input-dependent-duration workload the ROADMAP promotes to a
 // measured scenario family) and the image PARTITION measured under
 // control-task interference on the hypervisor (measured-partition
-// selection).
+// selection) — plus the `casestudy::Task` contract both roles rely on:
+// staging invalidates every cache line it writes.
 #include "casestudy/campaign.hpp"
 #include "casestudy/campaign_runner.hpp"
 #include "casestudy/measured_target.hpp"
 #include "exec/engine.hpp"
 #include "exec/registry.hpp"
+#include "isa/linker.hpp"
+#include "mem/guest_memory.hpp"
+#include "mem/hierarchy.hpp"
+#include "rng/mwc.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace {
 
@@ -45,17 +54,13 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
 TEST(MeasuredTarget, FactorySelectsKindAndUoa) {
   CampaignConfig config;
   const auto control = casestudy::make_measured_target(config);
-  EXPECT_EQ(control->kind(), MeasuredTargetKind::kControl);
-  EXPECT_EQ(control->name(), "control");
   EXPECT_STREQ(control->uoa_symbol(), "control_step");
-  EXPECT_FALSE(control->input_dependent_duration());
+  EXPECT_TRUE(control->stateful());
 
   config.measured = MeasuredTargetKind::kImage;
   const auto image = casestudy::make_measured_target(config);
-  EXPECT_EQ(image->kind(), MeasuredTargetKind::kImage);
-  EXPECT_EQ(image->name(), "image");
   EXPECT_STREQ(image->uoa_symbol(), "image_step");
-  EXPECT_TRUE(image->input_dependent_duration());
+  EXPECT_FALSE(image->stateful());
 
   EXPECT_STREQ(casestudy::measured_partition_name(MeasuredTargetKind::kImage),
                "processing");
@@ -218,6 +223,126 @@ TEST(MeasuredTarget, HvImageRejectsStaticRandomisation) {
   CampaignConfig config = scenario("hv/image+control", 2);
   config.randomisation = casestudy::Randomisation::kStatic;
   EXPECT_THROW(casestudy::CampaignRunner{config}, std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Staging is a DMA transfer, and LEON3 DMA is not cache-coherent: a stage
+// call must leave no cache line valid over anything it wrote.  Every
+// campaign flushes all levels after staging, so neither a digest nor a
+// golden check would see a missed invalidation; this test does.
+// ---------------------------------------------------------------------------
+
+using Range = std::pair<std::uint32_t, std::uint32_t>; // (addr, length)
+
+/// Collects the guest-memory writes made while attached, merging a write
+/// that continues the previous one into a single range.
+class WriteRecorder final : public mem::MemoryWriteListener {
+public:
+  void on_memory_written(std::uint32_t addr, std::uint32_t length) override {
+    if (!ranges.empty() &&
+        ranges.back().first + ranges.back().second == addr) {
+      ranges.back().second += length;
+    } else {
+      ranges.emplace_back(addr, length);
+    }
+  }
+  void on_memory_cleared() override {}
+
+  std::vector<Range> ranges;
+};
+
+/// The ranges `task` writes when it stages its current inputs over a
+/// freshly loaded `image`, found on a platform of their own.
+std::vector<Range> staged_ranges(const casestudy::Task& task,
+                                 const isa::LinkedImage& image, bool full) {
+  mem::GuestMemory memory;
+  mem::MemoryHierarchy hierarchy(mem::leon3_hierarchy_config());
+  image.load_into(memory);
+  WriteRecorder recorder;
+  memory.add_write_listener(&recorder);
+  task.stage(memory, hierarchy, image, full);
+  memory.remove_write_listener(&recorder);
+  return recorder.ranges;
+}
+
+/// Line addresses (`line_bytes` apart) covering `range`.
+std::vector<std::uint32_t> lines_of(const Range& range,
+                                    std::uint32_t line_bytes) {
+  std::vector<std::uint32_t> lines;
+  for (std::uint32_t line = range.first / line_bytes * line_bytes;
+       line < range.first + range.second; line += line_bytes) {
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+TEST(Task, StagingInvalidatesEveryLineItWrites) {
+  CampaignConfig config;
+  config.image.grid = 6; // the image/ scenarios' CI-sized frame
+  std::vector<std::pair<const char*, std::unique_ptr<casestudy::Task>>> tasks;
+  tasks.emplace_back(
+      "control", casestudy::make_task(MeasuredTargetKind::kControl, config));
+  tasks.emplace_back(
+      "image", casestudy::make_task(MeasuredTargetKind::kImage, config));
+  tasks.emplace_back(
+      "leak", casestudy::make_task(MeasuredTargetKind::kLeakyBeacon, config));
+  tasks.emplace_back("stressor", casestudy::make_stressor_task());
+
+  for (const auto& [name, task] : tasks) {
+    const isa::LinkedImage image =
+        isa::link(task->program(), task->layout_options());
+    rng::Mwc rng(7);
+    task->restart();
+    task->draw(rng);
+    for (const bool full : {false, true}) {
+      SCOPED_TRACE(std::string(name) + (full ? " full" : " incremental"));
+      const std::vector<Range> ranges = staged_ranges(*task, image, full);
+      ASSERT_FALSE(ranges.empty());
+
+      mem::GuestMemory memory;
+      mem::MemoryHierarchy hierarchy(mem::leon3_hierarchy_config());
+      image.load_into(memory);
+      const std::uint32_t line_bytes = hierarchy.l2().config().line_bytes;
+      // Warm IL1, DL1 and the L2 over every line staging will write (a
+      // fetch fills IL1, a load fills DL1, both fill the L2), and check
+      // that each written range then has a valid line in every level, so a
+      // missed invalidation cannot hide behind a cold cache.
+      for (const Range& range : ranges) {
+        for (const std::uint32_t line : lines_of(range, line_bytes)) {
+          hierarchy.fetch(line);
+          hierarchy.load(line);
+        }
+      }
+      for (const Range& range : ranges) {
+        const std::vector<std::uint32_t> lines = lines_of(range, line_bytes);
+        for (mem::Cache* level :
+             {&hierarchy.il1(), &hierarchy.dl1(), &hierarchy.l2()}) {
+          EXPECT_TRUE(std::any_of(lines.begin(), lines.end(),
+                                  [level](std::uint32_t line) {
+                                    return level->contains(line);
+                                  }))
+              << level->config().name << " is cold over 0x" << std::hex
+              << range.first;
+        }
+      }
+
+      WriteRecorder recorder;
+      memory.add_write_listener(&recorder);
+      task->stage(memory, hierarchy, image, full);
+      memory.remove_write_listener(&recorder);
+      EXPECT_EQ(recorder.ranges, ranges);
+      for (const Range& range : recorder.ranges) {
+        for (const std::uint32_t line : lines_of(range, line_bytes)) {
+          for (mem::Cache* level :
+               {&hierarchy.il1(), &hierarchy.dl1(), &hierarchy.l2()}) {
+            EXPECT_FALSE(level->contains(line))
+                << level->config().name << " line 0x" << std::hex << line
+                << " is still valid after staging";
+          }
+        }
+      }
+    }
+  }
 }
 
 } // namespace

@@ -16,11 +16,15 @@
 // Digests are worker-count-invariant by the engine's sharding contract
 // (exec_engine_test/exec_hv_test lock that separately); this suite runs
 // each campaign through the engine at 4 workers, crossing shard
-// boundaries, plus one adaptive spot-check.
+// boundaries, plus one adaptive spot-check.  A last table locks the
+// metrics digest and corrupt-input count of every measured input path
+// (pinned, replayed, re-flashed, fresh), which a times digest alone does
+// not cover.
 #include "exec/adaptive.hpp"
 #include "exec/engine.hpp"
 #include "exec/registry.hpp"
 #include "exec/seed.hpp"
+#include "obs/metrics.hpp"
 #include "trace/report.hpp"
 
 #include <gtest/gtest.h>
@@ -111,6 +115,34 @@ constexpr LockedDigest kOnDemandDefaultSeeds30[] = {
     {"leak/beacon-ondemand", "0x446dd61db53040a4"},
 };
 
+/// Every input path of the measured target, locked by what the times
+/// digest cannot see: the metrics digest (which carries the corrupt-input
+/// counter and, with taint on, the `leak.*` family) and the number of runs
+/// labelled corrupt.  30 runs, 4 workers, metrics on, default seeds.
+struct LockedInputPath {
+  const char* scenario;
+  bool taint;
+  const char* metrics_digest;
+  std::size_t corrupt_runs;
+};
+
+constexpr LockedInputPath kInputPathsDefaultSeeds30[] = {
+    // streamed replay across shard skips
+    {"control/operation-dsr", false, "0xb0e4f8d02f68b988", 4},
+    // pinned inputs, stateful task
+    {"control/analysis-dsr", false, "0x5f5a294c65eaa067", 30},
+    // re-flash restart every run
+    {"control/operation-static", false, "0x9ef62df46461eaea", 4},
+    // re-flash restart with pinned inputs
+    {"control/analysis-static", false, "0xf0c160aa95362a1e", 30},
+    // stateless task, a fresh draw every run
+    {"image/operation-cots", false, "0x10a0cb9b0cf1d470", 0},
+    // pinned frame
+    {"image/analysis-dsr", false, "0x1291ac53b7bc92c0", 0},
+    // taint sinks from the task's observable symbols
+    {"leak/beacon-dsr", true, "0x7925e64205c051b8", 0},
+};
+
 CampaignConfig scenario(const std::string& name, std::uint32_t runs) {
   return exec::ScenarioRegistry::global().at(name).make_config(runs);
 }
@@ -161,6 +193,24 @@ TEST(SeedStreamStability, OnDemandFamilyDigestsAreLocked) {
   // The armed-but-silent arm must price exactly like plain eager DSR.
   EXPECT_EQ(engine_digest(scenario("control/dsr-ondemand", 30)),
             engine_digest(scenario("control/operation-dsr", 30)));
+}
+
+TEST(SeedStreamStability, MeasuredInputPathsAreLocked) {
+  exec::EngineOptions options;
+  options.workers = 4;
+  for (const LockedInputPath& locked : kInputPathsDefaultSeeds30) {
+    CampaignConfig config = scenario(locked.scenario, 30);
+    config.collect_metrics = true;
+    config.taint = locked.taint;
+    const CampaignResult result = exec::CampaignEngine(options).run(config);
+    std::size_t corrupt_runs = 0;
+    for (const casestudy::RunSample& sample : result.samples) {
+      corrupt_runs += sample.corrupt_input ? 1 : 0;
+    }
+    EXPECT_EQ(obs::metrics_digest_hex(result.metrics), locked.metrics_digest)
+        << locked.scenario;
+    EXPECT_EQ(corrupt_runs, locked.corrupt_runs) << locked.scenario;
+  }
 }
 
 TEST(SeedStreamStability, HvPartitionStreamsAreLockedAtSeed7) {
