@@ -75,8 +75,8 @@ CampaignRunner::CampaignRunner(const CampaignConfig& config)
   trace_buffer_.attach(cpu_);
   image_.load_into(memory_);
   // One-time predecode pass over the loaded image (fast core only): the
-  // decode cache stays coherent through DSR relocation and re-links via
-  // the guest-memory write listener, so this is purely a warm start.
+  // decode cache stays coherent through DSR relocation and re-links (a
+  // write into a decoded page resets its slots): purely a warm start.
   cpu_.predecode(image_.code_begin(), image_.code_end() - image_.code_begin());
   if (uses_dsr(config_.randomisation)) {
     runtime_ = std::make_unique<dsr::DsrRuntime>(

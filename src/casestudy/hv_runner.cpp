@@ -19,7 +19,8 @@
 //   3. collect  — the measured activation's UoA time from the trace is the
 //                 run's sample; every partition's ActivationRecords become
 //                 the run's PartitionActivity; measured and guest outputs
-//                 are verified against their golden models.
+//                 are verified against their golden models (a guest's
+//                 also before each activation that restages them).
 //
 // Seed-index freeze: exec::derive_partition_seed indices are fixed PER
 // TASK KIND — control = 0, image = 1, stressor = 2 — never per
@@ -148,14 +149,15 @@ struct CampaignRunner::HvState {
     }
 
     void before_activation(std::uint64_t) override {
+      verify_last();
       task_->draw(rng_);
       task_->stage(runner_.memory_, runner_.hierarchy_, image_, first_of_run_);
       first_of_run_ = false;
     }
 
-    /// Golden-model check of the run's last activation (its outputs are
-    /// still resident when the schedule completes); nothing to check if the
-    /// guest did not activate this run.
+    /// Golden-model check of the guest's latest activation this run (before
+    /// the next one restages, and after the schedule); nothing to check
+    /// before the run's first activation.
     void verify_last() const {
       if (!first_of_run_ && !task_->verify(runner_.memory_, image_)) {
         runner_.fault(partition_ +

@@ -1,16 +1,15 @@
 #include "guest_memory.hpp"
 
+#include "vm/decode.hpp"
+
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 namespace proxima::mem {
 
 GuestMemory::Page& GuestMemory::materialise(std::uint32_t addr) {
-  std::unique_ptr<Leaf>& leaf = top_[addr >> kLeafShift];
-  if (leaf == nullptr) {
-    leaf = std::make_unique<Leaf>();
-  }
-  std::unique_ptr<Page>& page = (*leaf)[leaf_index(addr)];
+  std::unique_ptr<Page>& page = pages_.slot(page_of(addr));
   if (page == nullptr) {
     page = std::make_unique<Page>(); // value-initialised: all zero
     ++resident_pages_;
@@ -18,109 +17,105 @@ GuestMemory::Page& GuestMemory::materialise(std::uint32_t addr) {
   return *page;
 }
 
-void GuestMemory::write_u16(std::uint32_t addr, std::uint16_t value) {
-  poke_u8(addr, static_cast<std::uint8_t>(value >> 8));
-  poke_u8(addr + 1, static_cast<std::uint8_t>(value));
-  if (!listeners_.empty()) {
-    notify_written(addr, 2);
+void GuestMemory::reset_decoded(std::uint32_t addr, std::uint32_t length) {
+  decode_->memory_written(addr, length);
+}
+
+template <typename Write>
+void GuestMemory::write_spans(std::uint32_t addr, std::uint32_t length,
+                              Write write) {
+  bool decoded = false;
+  for (std::uint32_t done = 0; done < length;) {
+    const std::uint32_t at = addr + done;
+    const std::uint32_t span =
+        std::min(length - done, kPageBytes - at % kPageBytes);
+    Page& page = page_for(at);
+    decoded |= page.decoded != nullptr;
+    write(page.bytes.data() + at % kPageBytes, done, span);
+    done += span;
+  }
+  if (decoded) {
+    reset_decoded(addr, length);
   }
 }
 
 void GuestMemory::copy(std::uint32_t dst, std::uint32_t src,
                        std::uint32_t length) {
-  const bool overlaps =
-      length != 0 && dst < src + length && src < dst + length;
-  if (!overlaps) {
-    // Relocation hot path: move whole page spans with memcpy.  An absent
-    // source page reads as zero, matching the byte loop's read_u8.
-    std::uint32_t done = 0;
-    while (done < length) {
-      const std::uint32_t s = src + done;
-      const std::uint32_t d = dst + done;
-      const std::uint32_t span =
-          std::min({length - done, kPageBytes - s % kPageBytes,
-                    kPageBytes - d % kPageBytes});
-      std::uint8_t* out = page_for(d).data() + d % kPageBytes;
-      if (const Page* page = page_if_present(s)) {
-        std::memcpy(out, page->data() + s % kPageBytes, span);
-      } else {
-        std::memset(out, 0, span);
-      }
-      done += span;
-    }
-  } else if (dst <= src) {
+  if (length != 0 && dst < src + length && src < dst + length) {
+    // Overlapping ranges (never a relocation): memmove through a buffer.
+    std::vector<std::uint8_t> bytes(length);
     for (std::uint32_t i = 0; i < length; ++i) {
-      poke_u8(dst + i, read_u8(src + i));
+      bytes[i] = read_u8(src + i);
     }
-  } else {
-    for (std::uint32_t i = length; i-- > 0;) {
-      poke_u8(dst + i, read_u8(src + i));
-    }
+    load(dst, bytes);
+    return;
   }
-  if (length != 0 && !listeners_.empty()) {
-    notify_written(dst, length);
+  // Relocation hot path: move whole page spans with memcpy.  An absent
+  // source page reads as zero.
+  bool decoded = false;
+  for (std::uint32_t done = 0; done < length;) {
+    const std::uint32_t s = src + done;
+    const std::uint32_t d = dst + done;
+    const std::uint32_t span =
+        std::min({length - done, kPageBytes - s % kPageBytes,
+                  kPageBytes - d % kPageBytes});
+    Page& out = page_for(d);
+    decoded |= out.decoded != nullptr;
+    if (const Page* in = pages_.find(page_of(s))) {
+      std::memcpy(out.bytes.data() + d % kPageBytes,
+                  in->bytes.data() + s % kPageBytes, span);
+    } else {
+      std::memset(out.bytes.data() + d % kPageBytes, 0, span);
+    }
+    done += span;
+  }
+  if (decoded) {
+    reset_decoded(dst, length);
   }
 }
 
 void GuestMemory::write_u32_span(std::uint32_t addr,
                                  const std::uint32_t* values,
                                  std::uint32_t count) {
+  bool decoded = false;
   for (std::uint32_t i = 0; i < count; ++i) {
-    poke_u32(addr + 4 * i, values[i]);
+    decoded |= poke_u32(addr + 4 * i, values[i]);
   }
-  if (count != 0 && !listeners_.empty()) {
-    notify_written(addr, 4 * count);
+  if (decoded) {
+    reset_decoded(addr, 4 * count);
   }
 }
 
 void GuestMemory::fill(std::uint32_t addr, std::uint32_t length,
                        std::uint8_t value) {
-  for (std::uint32_t done = 0; done < length;) {
-    const std::uint32_t at = addr + done;
-    const std::uint32_t span =
-        std::min(length - done, kPageBytes - at % kPageBytes);
-    std::memset(page_for(at).data() + at % kPageBytes, value, span);
-    done += span;
-  }
-  if (length != 0 && !listeners_.empty()) {
-    notify_written(addr, length);
-  }
+  write_spans(addr, length,
+              [value](std::uint8_t* out, std::uint32_t, std::uint32_t span) {
+                std::memset(out, value, span);
+              });
 }
 
 void GuestMemory::load(std::uint32_t addr,
                        const std::vector<std::uint8_t>& bytes) {
-  const auto length = static_cast<std::uint32_t>(bytes.size());
-  for (std::uint32_t done = 0; done < length;) {
-    const std::uint32_t at = addr + done;
-    const std::uint32_t span =
-        std::min(length - done, kPageBytes - at % kPageBytes);
-    std::memcpy(page_for(at).data() + at % kPageBytes, bytes.data() + done,
-                span);
-    done += span;
-  }
-  if (length != 0 && !listeners_.empty()) {
-    notify_written(addr, length);
-  }
+  write_spans(addr, static_cast<std::uint32_t>(bytes.size()),
+              [&bytes](std::uint8_t* out, std::uint32_t done,
+                       std::uint32_t span) {
+                std::memcpy(out, bytes.data() + done, span);
+              });
 }
 
 void GuestMemory::clear() {
-  for (std::unique_ptr<Leaf>& leaf : top_) {
-    leaf.reset();
-  }
+  pages_.clear();
   resident_pages_ = 0;
-  for (MemoryWriteListener* listener : listeners_) {
-    listener->on_memory_cleared();
+  if (decode_ != nullptr) {
+    decode_->invalidate_all();
   }
 }
 
-void GuestMemory::add_write_listener(MemoryWriteListener* listener) {
-  if (listener != nullptr) {
-    listeners_.push_back(listener);
+void GuestMemory::bind_decode_cache(vm::DecodeCache* cache) {
+  if (cache != nullptr && decode_ != nullptr) {
+    throw std::logic_error("guest memory: a decode cache is already bound");
   }
-}
-
-void GuestMemory::remove_write_listener(MemoryWriteListener* listener) {
-  std::erase(listeners_, listener);
+  decode_ = cache;
 }
 
 } // namespace proxima::mem

@@ -5,41 +5,41 @@
 // images are bit-exact copies of the originals, as they would be on the real
 // target.
 //
-// Pages live in a directly indexed two-level table: a 1024-entry top array
-// indexed by addr >> 22, whose 4 MiB leaves (1024 page pointers each) are
-// allocated on first write.  Absent leaves and pages read as zero.  The
-// word and byte accessors below are inline so a guest load or store costs
-// two table loads instead of an out-of-line hash lookup.
+// Pages live in a mem::PageTable: absent pages read as zero, and only writes
+// materialise them.  The word and byte accessors are inline, so a guest load
+// or store costs two table loads.  A page also holds the fast core's decoded
+// ops for it, if any: the vm::DecodeCache bound to this memory keeps its
+// pages here.  A write into a page that has decoded ops resets the slots it
+// covers, so every writer (guest store, DSR relocation, re-link reload,
+// lazy-trap patch) keeps decoded code coherent; a write into any other page
+// makes no call.
 #pragma once
+
+#include "mem/page_table.hpp"
 
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <vector>
+
+namespace proxima::vm { // vm/decode.hpp
+class DecodeCache;
+struct DecodedPage;
+} // namespace proxima::vm
 
 namespace proxima::mem {
 
-/// Observer of guest-memory mutations.  The fast VM core's decode cache
-/// registers one so that any write behind its back — DSR relocation, a
-/// static re-link reload, a guest store into code — invalidates the
-/// affected predecoded instructions before they can be dispatched again.
-class MemoryWriteListener {
-public:
-  virtual ~MemoryWriteListener() = default;
-  /// [addr, addr+length) was (re)written.
-  virtual void on_memory_written(std::uint32_t addr, std::uint32_t length) = 0;
-  /// The whole address space was dropped (partition image wipe).
-  virtual void on_memory_cleared() = 0;
-};
-
 class GuestMemory {
 public:
-  static constexpr std::uint32_t kPageBytes = 4096;
+  static constexpr std::uint32_t kPageBytes = mem::kPageBytes;
+
+  GuestMemory() = default;
+  GuestMemory(const GuestMemory&) = delete; // a bound cache holds its address
+  GuestMemory& operator=(const GuestMemory&) = delete;
 
   std::uint8_t read_u8(std::uint32_t addr) const {
-    const Page* page = page_if_present(addr);
-    return page == nullptr ? 0 : (*page)[addr % kPageBytes];
+    const Page* page = pages_.find(page_of(addr));
+    return page == nullptr ? 0 : page->bytes[addr % kPageBytes];
   }
   std::uint16_t read_u16(std::uint32_t addr) const {
     return static_cast<std::uint16_t>((read_u8(addr) << 8) | read_u8(addr + 1));
@@ -50,8 +50,8 @@ public:
       return (static_cast<std::uint32_t>(read_u16(addr)) << 16) |
              read_u16(addr + 2);
     }
-    const Page* page = page_if_present(addr);
-    return page == nullptr ? 0 : load_be32(page->data() + offset);
+    const Page* page = pages_.find(page_of(addr));
+    return page == nullptr ? 0 : load_be32(page->bytes.data() + offset);
   }
   std::uint64_t read_u64(std::uint32_t addr) const {
     return (static_cast<std::uint64_t>(read_u32(addr)) << 32) |
@@ -62,16 +62,19 @@ public:
   }
 
   void write_u8(std::uint32_t addr, std::uint8_t value) {
-    poke_u8(addr, value);
-    if (!listeners_.empty()) {
-      notify_written(addr, 1);
+    if (poke_u8(addr, value)) [[unlikely]] {
+      reset_decoded(addr, 1);
     }
   }
-  void write_u16(std::uint32_t addr, std::uint16_t value);
+  void write_u16(std::uint32_t addr, std::uint16_t value) {
+    if (poke_u8(addr, static_cast<std::uint8_t>(value >> 8)) |
+        poke_u8(addr + 1, static_cast<std::uint8_t>(value))) {
+      reset_decoded(addr, 2);
+    }
+  }
   void write_u32(std::uint32_t addr, std::uint32_t value) {
-    poke_u32(addr, value);
-    if (!listeners_.empty()) {
-      notify_written(addr, 4);
+    if (poke_u32(addr, value)) [[unlikely]] {
+      reset_decoded(addr, 4);
     }
   }
   void write_u64(std::uint32_t addr, std::uint64_t value) {
@@ -82,16 +85,15 @@ public:
     write_u64(addr, std::bit_cast<std::uint64_t>(value));
   }
 
-  /// Copy `length` bytes from `src` to `dst` inside guest memory.  Used by
-  /// the DSR runtime's eager relocation loop.  Non-overlapping ranges take
-  /// a page-span memmove fast path (the relocation hot loop); overlapping
-  /// ranges fall back to the ordered byte loop.
+  /// Copy `length` bytes from `src` to `dst` inside guest memory, with
+  /// memmove semantics.  Used by the DSR runtime's eager relocation loop,
+  /// whose non-overlapping ranges take a page-span memcpy path.
   void copy(std::uint32_t dst, std::uint32_t src, std::uint32_t length);
 
   /// Store `count` consecutive big-endian words starting at `addr` (the
   /// DSR metadata-table flush).  Exactly equivalent to `count` calls of
-  /// write_u32 except that listeners get ONE notification for the whole
-  /// span instead of one per word.
+  /// write_u32, except that decoded slots are reset once for the whole
+  /// span, as by copy, fill and load.
   void write_u32_span(std::uint32_t addr, const std::uint32_t* values,
                       std::uint32_t count);
 
@@ -105,26 +107,28 @@ public:
   std::size_t resident_pages() const noexcept { return resident_pages_; }
 
   /// Drop all contents (partition reboot wipes the partition image before
-  /// the loader rewrites it).
+  /// the loader rewrites it); a bound decode cache drops every page too.
   void clear();
 
-  /// Register / deregister a mutation observer.  Listeners are notified on
-  /// every write; with none registered the notification cost is one branch.
-  void add_write_listener(MemoryWriteListener* listener);
-  void remove_write_listener(MemoryWriteListener* listener);
+  /// For vm::DecodeCache: bind (null: unbind) the one cache kept coherent
+  /// with this memory (std::logic_error if one is bound), and reach the
+  /// decoded ops of page number `page`: null if it has none, and the slot
+  /// to install them in (which materialises the page).
+  void bind_decode_cache(vm::DecodeCache* cache);
+  vm::DecodedPage* decoded(std::uint32_t page) const {
+    const Page* present = pages_.find(page);
+    return present == nullptr ? nullptr : present->decoded;
+  }
+  vm::DecodedPage*& decoded_slot(std::uint32_t page) {
+    return page_for(page << kPageShift).decoded;
+  }
 
 private:
-  static constexpr std::uint32_t kPageShift = 12;
-  static constexpr std::uint32_t kLeafShift = 22; // 4 MiB per leaf
-  static constexpr std::uint32_t kLeafPages = 1U << (kLeafShift - kPageShift);
-  static_assert(kPageBytes == 1U << kPageShift);
+  struct Page {
+    std::array<std::uint8_t, kPageBytes> bytes{}; // zeroed when created
+    vm::DecodedPage* decoded = nullptr; // owned by the bound DecodeCache
+  };
 
-  using Page = std::array<std::uint8_t, kPageBytes>;
-  using Leaf = std::array<std::unique_ptr<Page>, kLeafPages>;
-
-  static std::uint32_t leaf_index(std::uint32_t addr) {
-    return (addr >> kPageShift) % kLeafPages;
-  }
   static std::uint32_t load_be32(const std::uint8_t* bytes) {
     return (static_cast<std::uint32_t>(bytes[0]) << 24) |
            (static_cast<std::uint32_t>(bytes[1]) << 16) |
@@ -132,51 +136,49 @@ private:
            static_cast<std::uint32_t>(bytes[3]);
   }
 
-  const Page* page_if_present(std::uint32_t addr) const {
-    const Leaf* leaf = top_[addr >> kLeafShift].get();
-    return leaf == nullptr ? nullptr : (*leaf)[leaf_index(addr)].get();
-  }
   Page& page_for(std::uint32_t addr) {
-    if (const Leaf* leaf = top_[addr >> kLeafShift].get()) [[likely]] {
-      if (Page* page = (*leaf)[leaf_index(addr)].get()) [[likely]] {
-        return *page;
-      }
+    if (Page* page = pages_.find(page_of(addr))) [[likely]] {
+      return *page;
     }
     return materialise(addr);
   }
-  /// Allocate the (zeroed) page holding `addr`, and its leaf if needed.
+  /// Allocate the (zeroed) page holding `addr`.
   Page& materialise(std::uint32_t addr);
 
-  void notify_written(std::uint32_t addr, std::uint32_t length) {
-    for (MemoryWriteListener* listener : listeners_) {
-      listener->on_memory_written(addr, length);
-    }
-  }
+  /// The bound cache resets its slots over [addr, addr+length).
+  void reset_decoded(std::uint32_t addr, std::uint32_t length);
+  /// `write(bytes, done, span)` per page span of [addr, addr+length).
+  template <typename Write>
+  void write_spans(std::uint32_t addr, std::uint32_t length, Write write);
 
-  /// Non-notifying writes used by the public writers and the bulk
-  /// operations, which notify once for the whole range instead of once per
-  /// byte or word.
-  void poke_u8(std::uint32_t addr, std::uint8_t value) {
-    page_for(addr)[addr % kPageBytes] = value;
+  /// Raw writes; each returns whether the page it wrote has decoded ops.
+  bool poke_u8(std::uint32_t addr, std::uint8_t value) {
+    Page& page = page_for(addr);
+    page.bytes[addr % kPageBytes] = value;
+    return page.decoded != nullptr;
   }
-  void poke_u32(std::uint32_t addr, std::uint32_t value) {
+  bool poke_u32(std::uint32_t addr, std::uint32_t value) {
     const std::uint32_t offset = addr % kPageBytes;
     if (offset > kPageBytes - 4) [[unlikely]] {
+      bool decoded = false;
       for (std::uint32_t i = 0; i < 4; ++i) {
-        poke_u8(addr + i, static_cast<std::uint8_t>(value >> (24 - 8 * i)));
+        decoded |=
+            poke_u8(addr + i, static_cast<std::uint8_t>(value >> (24 - 8 * i)));
       }
-      return;
+      return decoded;
     }
-    std::uint8_t* bytes = page_for(addr).data() + offset;
+    Page& page = page_for(addr);
+    std::uint8_t* bytes = page.bytes.data() + offset;
     bytes[0] = static_cast<std::uint8_t>(value >> 24);
     bytes[1] = static_cast<std::uint8_t>(value >> 16);
     bytes[2] = static_cast<std::uint8_t>(value >> 8);
     bytes[3] = static_cast<std::uint8_t>(value);
+    return page.decoded != nullptr;
   }
 
-  std::array<std::unique_ptr<Leaf>, 1U << (32 - kLeafShift)> top_{};
+  PageTable<Page> pages_;
   std::size_t resident_pages_ = 0;
-  std::vector<MemoryWriteListener*> listeners_;
+  vm::DecodeCache* decode_ = nullptr;
 };
 
 } // namespace proxima::mem

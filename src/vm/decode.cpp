@@ -1,24 +1,54 @@
 #include "decode.hpp"
 
+#include <algorithm>
+
 namespace proxima::vm {
 
-DecodeCache::Page& DecodeCache::page_slow(std::uint32_t index) {
-  auto it = pages_.find(index);
-  if (it == pages_.end()) {
-    if (pages_.size() >= kMaxPages) {
-      // Footprint cap: drop everything rather than track per-page LRU —
-      // re-decoding is cheap and this fires only after DSR relocation has
-      // visited thousands of distinct pool pages.
-      invalidate_all();
-    }
-    it = pages_.emplace(index, std::make_unique<Page>()).first;
-  }
-  return *it->second;
+DecodeCache::DecodeCache(mem::GuestMemory& memory) : memory_(memory) {
+  memory_.bind_decode_cache(this);
 }
 
-void DecodeCache::decode_into(DecodedOp& op, std::uint32_t pc,
-                              const mem::GuestMemory& memory) {
-  const std::uint32_t word = memory.read_u32(pc);
+DecodeCache::~DecodeCache() {
+  invalidate_all(); // unhooks every page from the memory
+  memory_.bind_decode_cache(nullptr);
+}
+
+DecodedPage& DecodeCache::page_slow(std::uint32_t index) {
+  if (DecodedPage* page = memory_.decoded(index)) {
+    return *page;
+  }
+  if (mapped_.size() >= kMaxPages) {
+    // Footprint cap: drop everything rather than track per-page LRU —
+    // re-decoding is cheap and this fires only after DSR relocation has
+    // visited a hundred distinct pool pages.
+    invalidate_all();
+  }
+  if (free_.empty()) {
+    mapped_.push_back(std::make_unique<DecodedPage>());
+  } else {
+    mapped_.push_back(std::move(free_.back()));
+    free_.pop_back();
+  }
+  DecodedPage& page = *mapped_.back();
+  // A recycled page needs a reset only over the slots its previous tenant
+  // decoded (none for a new page).
+  for (std::uint32_t slot = page.first; slot < page.last; ++slot) {
+    page.ops[slot] = DecodedOp{kUndecodedOp, 0, 0, 0, 0};
+  }
+  page.first = kOpsPerPage;
+  page.last = 0;
+  page.number = index;
+  memory_.decoded_slot(index) = &page;
+  return page;
+}
+
+void DecodeCache::decode_slot(DecodedPage& page, std::uint32_t slot,
+                              std::uint32_t pc) {
+  ++stats_.decodes;
+  page.first = std::min(page.first, slot);
+  page.last = std::max(page.last, slot + 1);
+  DecodedOp& op = page.ops[slot];
+  const std::uint32_t word = memory_.read_u32(pc);
   try {
     const isa::Instruction instr = isa::decode(word);
     op.handler = static_cast<std::uint8_t>(instr.op);
@@ -31,18 +61,15 @@ void DecodeCache::decode_into(DecodedOp& op, std::uint32_t pc,
   }
 }
 
-void DecodeCache::predecode_range(const mem::GuestMemory& memory,
-                                  std::uint32_t addr, std::uint32_t length) {
+void DecodeCache::predecode_range(std::uint32_t addr, std::uint32_t length) {
   if (length == 0) {
     return;
   }
   const std::uint32_t first = addr & ~3u;
   const std::uint32_t last = (addr + length - 1) & ~3u;
   for (std::uint32_t pc = first;; pc += 4) {
-    Page& page = page_slow(pc >> kPageShift);
-    DecodedOp& op = page.ops[(pc & ((1u << kPageShift) - 1)) >> 2];
-    ++stats_.decodes;
-    decode_into(op, pc, memory);
+    decode_slot(page_slow(pc >> kPageShift),
+                (pc & ((1u << kPageShift) - 1)) >> 2, pc);
     if (pc == last) {
       break;
     }
@@ -51,12 +78,18 @@ void DecodeCache::predecode_range(const mem::GuestMemory& memory,
 
 void DecodeCache::invalidate_all() {
   ++stats_.full_invalidations;
-  pages_.clear();
+  for (std::unique_ptr<DecodedPage>& page : mapped_) {
+    if (memory_.decoded(page->number) != nullptr) { // absent after a clear
+      memory_.decoded_slot(page->number) = nullptr;
+    }
+    free_.push_back(std::move(page));
+  }
+  mapped_.clear();
   mru_ = nullptr;
   mru_index_ = 0xffff'ffff;
 }
 
-void DecodeCache::on_memory_written(std::uint32_t addr, std::uint32_t length) {
+void DecodeCache::memory_written(std::uint32_t addr, std::uint32_t length) {
   if (length == 0) {
     return;
   }
@@ -77,19 +110,17 @@ void DecodeCache::invalidate_range(std::uint32_t addr, std::uint32_t length) {
   constexpr std::uint32_t kPageIndexMask = (1u << (32 - kPageShift)) - 1;
   for (std::uint32_t index = first_page;;
        index = (index + 1) & kPageIndexMask) {
-    const auto it = pages_.find(index);
-    if (it != pages_.end()) {
-      Page& page = *it->second;
+    if (DecodedPage* page = memory_.decoded(index)) {
       const std::uint32_t begin =
           index == first_page ? first_word & (kOpsPerPage - 1) : 0;
       const std::uint32_t end =
           index == last_page ? (last_word & (kOpsPerPage - 1)) + 1
                              : kOpsPerPage;
       for (std::uint32_t slot = begin; slot < end; ++slot) {
-        if (page.ops[slot].handler != kUndecodedOp) {
+        if (page->ops[slot].handler != kUndecodedOp) {
           ++stats_.invalidated_slots;
         }
-        page.ops[slot].handler = kUndecodedOp;
+        page->ops[slot].handler = kUndecodedOp;
       }
     }
     if (index == last_page) {

@@ -3,18 +3,19 @@
 // A DecodedOp is an isa::Instruction resolved into a flat, dispatch-ready
 // form: the opcode collapsed to a dense handler index (the Opcode value
 // itself — the enum is already dense), operand fields pre-extracted, and
-// the immediate pre-sign-extended.  DecodedOps live in a DecodeCache keyed
-// by guest address: 4 KiB pages of 1024 entries, materialised on demand,
-// with a one-entry MRU page memo so the dispatch loop's lookup is an index
-// computation in the common case.
+// the immediate pre-sign-extended.  A DecodeCache holds them in pages of
+// 1024 slots, one per 4 KiB guest page, which it hangs on the pages of the
+// guest memory it decodes (mem/guest_memory.hpp), with a one-entry MRU page
+// memo so the dispatch loop's lookup is an index computation in the common
+// case.
 //
-// Coherence: the cache registers itself as a mem::MemoryWriteListener, so
-// ANY write into guest memory — the DSR runtime's relocation copies, a
-// static re-link reloading the image, a lazy-relocation trap patching the
-// function table, or a guest store into code — resets the covered entries
-// to "undecoded" before they can be dispatched again.  This is the
-// software analogue of the invalidation discipline the paper's runtime
-// needs on real SPARC hardware, applied to the host-side decoded form.
+// Coherence: ANY write into a guest page that holds decoded ops — DSR
+// relocation, a static re-link reload, a lazy-trap table patch, a guest
+// store into code — resets the covered slots to "undecoded" before they can
+// be dispatched again: the software analogue of the invalidation
+// discipline the paper's runtime needs on real SPARC hardware.  Pages
+// dropped at kMaxPages go to a free list; a recycled page is reset only
+// over the slot range it decoded.
 #pragma once
 
 #include "isa/instruction.hpp"
@@ -23,7 +24,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 namespace proxima::vm {
 
@@ -63,47 +64,57 @@ static_assert(static_cast<std::uint8_t>(isa::Opcode::kOpcodeCount) <
   X(kFitod) X(kFdtoi) X(kFmovd) X(kFnegd) X(kFabsd)                           \
   X(kRdtick) X(kIpoint) X(kFlush) X(kHalt) X(kTrapReloc)
 
-/// Address-indexed store of DecodedOps, coherent with guest memory.
-class DecodeCache final : public mem::MemoryWriteListener {
+/// The decoded ops of one 4 KiB guest page.
+struct DecodedPage {
+  static constexpr std::uint32_t kSlots = mem::kPageBytes / 4;
+  std::array<DecodedOp, kSlots> ops;
+  std::uint32_t number = 0; // guest page number it is hung on
+  // [first, last) covers every slot decoded since the page was hung; each
+  // slot outside holds kUndecodedOp.
+  std::uint32_t first = kSlots;
+  std::uint32_t last = 0;
+  DecodedPage() { ops.fill(DecodedOp{kUndecodedOp, 0, 0, 0, 0}); }
+};
+
+/// Address-indexed store of DecodedOps, coherent with one guest memory.
+class DecodeCache {
 public:
-  static constexpr std::uint32_t kPageShift = 12; // 4 KiB, 1024 ops
-  static constexpr std::uint32_t kOpsPerPage = (1u << kPageShift) / 4;
+  static constexpr std::uint32_t kPageShift = mem::kPageShift;
+  static constexpr std::uint32_t kOpsPerPage = DecodedPage::kSlots;
   /// Pages kept before the cache is dropped wholesale (bounds the decoded
   /// footprint when DSR relocation scatters code across the 32 MiB pool
-  /// over thousands of partition reboots).
-  static constexpr std::size_t kMaxPages = 1024; // 8 MiB of DecodedOps
+  /// over thousands of partition reboots; DESIGN §3.1 sizes it).
+  static constexpr std::size_t kMaxPages = 128; // 1 MiB of DecodedOps
 
   /// Cache activity counters (observability).  All increments live on the
   /// already-slow paths (decode miss, invalidation walk), never in the
-  /// dispatch loop's hit path.  NOTE for telemetry consumers: these depend
-  /// on cache *state*, which persists across runs within one runner — the
-  /// same global run executed by a different worker sharding can hit or
-  /// miss differently.  Only `write_invalidation_events` (listener-call
-  /// count, a pure function of the guest's writes) is worker-count
-  /// deterministic; the rest are reported as wall-class gauges.
+  /// dispatch loop's hit path.  They depend on cache *state*, which
+  /// persists across the runs of one runner, so they are gauge-class.
   struct Stats {
     std::uint64_t decodes = 0;                  // slots decoded (incl. re-)
-    std::uint64_t write_invalidation_events = 0; // on_memory_written calls
+    std::uint64_t write_invalidation_events = 0; // writes into decoded pages
     std::uint64_t invalidated_slots = 0;        // decoded slots flipped back
     std::uint64_t full_invalidations = 0;       // wholesale drops
   };
 
-  DecodeCache() = default;
-  DecodeCache(const DecodeCache&) = delete;
+  /// Decode out of `memory`, bound to it (one cache per memory).
+  explicit DecodeCache(mem::GuestMemory& memory);
+  ~DecodeCache();
+  DecodeCache(const DecodeCache&) = delete; // the memory holds its address
   DecodeCache& operator=(const DecodeCache&) = delete;
 
   /// The decoded slot for a (word-aligned) pc, decoding on first use.
   /// The returned reference stays valid until the next invalidation.
-  const DecodedOp& at(std::uint32_t pc, const mem::GuestMemory& memory) {
+  const DecodedOp& at(std::uint32_t pc) {
     const std::uint32_t index = pc >> kPageShift;
     if (index != mru_index_ || mru_ == nullptr) [[unlikely]] {
       mru_ = &page_slow(index);
       mru_index_ = index;
     }
-    DecodedOp& op = mru_->ops[(pc & ((1u << kPageShift) - 1)) >> 2];
+    const std::uint32_t slot = (pc & ((1u << kPageShift) - 1)) >> 2;
+    DecodedOp& op = mru_->ops[slot];
     if (op.handler == kUndecodedOp) [[unlikely]] {
-      ++stats_.decodes;
-      decode_into(op, pc, memory);
+      decode_slot(*mru_, slot, pc);
     }
     return op;
   }
@@ -111,41 +122,30 @@ public:
   /// One-time warm pass: decode every word of [addr, addr+length) up
   /// front (undecodable words become kInvalidOp slots, faulting only if
   /// executed — data interleaved with code must not throw here).
-  void predecode_range(const mem::GuestMemory& memory, std::uint32_t addr,
-                       std::uint32_t length);
+  void predecode_range(std::uint32_t addr, std::uint32_t length);
 
+  /// Drop every page onto the free list.
   void invalidate_all();
-
-  /// Reset every decoded slot covering [addr, addr+length), in one walk.
-  /// A range that runs past 0xFFFFFFFF wraps to address 0, as the write
-  /// that caused it does.  This is the body of on_memory_written without
-  /// the listener-event accounting: batching callers (the DSR runtime's
-  /// coalesced reseed ranges) invalidate the same slots as the equivalent
-  /// per-word notifications, bit-exactly, with one traversal per range
-  /// instead of one per store.
+  /// Reset every decoded slot covering [addr, addr+length), in one walk;
+  /// a range past 0xFFFFFFFF wraps to 0, as the write behind it does.
   void invalidate_range(std::uint32_t addr, std::uint32_t length);
 
-  /// Decoded pages currently materialised (observability/tests).
-  std::size_t resident_pages() const noexcept { return pages_.size(); }
+  /// Decoded pages currently hung on guest pages (observability/tests).
+  std::size_t resident_pages() const noexcept { return mapped_.size(); }
 
   const Stats& stats() const noexcept { return stats_; }
 
-  // mem::MemoryWriteListener
-  void on_memory_written(std::uint32_t addr, std::uint32_t length) override;
-  void on_memory_cleared() override { invalidate_all(); }
-
 private:
-  struct Page {
-    std::array<DecodedOp, kOpsPerPage> ops;
-    Page() { ops.fill(DecodedOp{kUndecodedOp, 0, 0, 0, 0}); }
-  };
+  friend class mem::GuestMemory; // on a write into a flagged page
+  void memory_written(std::uint32_t addr, std::uint32_t length);
 
-  Page& page_slow(std::uint32_t index);
-  static void decode_into(DecodedOp& op, std::uint32_t pc,
-                          const mem::GuestMemory& memory);
+  DecodedPage& page_slow(std::uint32_t index);
+  void decode_slot(DecodedPage& page, std::uint32_t slot, std::uint32_t pc);
 
-  std::unordered_map<std::uint32_t, std::unique_ptr<Page>> pages_;
-  Page* mru_ = nullptr;
+  mem::GuestMemory& memory_;
+  std::vector<std::unique_ptr<DecodedPage>> mapped_; // hung on guest pages
+  std::vector<std::unique_ptr<DecodedPage>> free_;   // dropped, for reuse
+  DecodedPage* mru_ = nullptr;
   std::uint32_t mru_index_ = 0xffff'ffff;
   Stats stats_;
 };

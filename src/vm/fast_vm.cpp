@@ -15,8 +15,8 @@
 // interpreter in reference_vm.cpp — same cycles, same instruction counts,
 // same mem::PerfCounters, same architectural state, same faults — under
 // every randomisation mode, including DSR relocation rewriting code mid-
-// campaign (the DecodeCache's write-listener keeps the predecoded form
-// coherent).  Every handler below is a transliteration of the matching
+// campaign (a write into a decoded page resets the DecodeCache's covered
+// slots).  Every handler below is a transliteration of the matching
 // case in the reference `execute`; the differential suite
 // (tests/vm_differential_test.cpp) enforces the equivalence.
 #include "decode.hpp"
@@ -186,12 +186,12 @@ next_instruction:
   // Fetch: timing through the inline hit path, the op out of the decode
   // cache (no guest-memory read, no format switch on the hot path).
   cycles += 1 + hier.fetch_fast(pc_);
-  op = &decode.at(pc_, memory_);
+  op = &decode.at(pc_);
   if (op->handler >= static_cast<std::uint8_t>(Opcode::kOpcodeCount))
       [[unlikely]] {
     // Reproduce the reference fault (message included) by re-decoding the
-    // offending word; the write-listener guarantees it is still the word
-    // that failed to decode.
+    // offending word; write coherence guarantees it is still the word that
+    // failed to decode.
     try {
       (void)isa::decode(memory_.read_u32(pc_));
       fault("invalid opcode");

@@ -16,14 +16,19 @@
 // observational — no cycle, counter or architectural effect — and costs
 // nothing when off (the fast core hoists the TaintState pointer exactly
 // like the instruction-mix hook).
+//
+// The memory shadow is a mem::PageTable of 1 KiB pages, one byte per guest
+// word, mapped by the first tainting store into a page and kept: each run's
+// clear_memory() zeroes them in place instead of reallocating.
 #pragma once
 
+#include "mem/page_table.hpp"
 #include "vm/window_map.hpp"
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 namespace proxima::vm {
@@ -76,7 +81,11 @@ public:
   }
   /// Drop the guest-memory shadow; the runner calls this at the start of
   /// every run so per-run leak metrics are a pure function of that run.
-  void clear_memory() { pages_.clear(); }
+  void clear_memory() {
+    for (const std::uint32_t number : mapped_) {
+      pages_.find(number)->fill(0);
+    }
+  }
 
   // Visible-register shadow access through the Vm's window map (%g0 reads
   // clean, writes are discarded).  An index past %i7 — the odd partner of
@@ -108,18 +117,22 @@ public:
 
   /// Shadow of the aligned word containing `addr`.
   bool mem_word(std::uint32_t addr) const {
-    const auto it = pages_.find(addr >> kPageShift);
-    return it != pages_.end() && it->second[word_index(addr)] != 0;
+    const ShadowPage* page = pages_.find(mem::page_of(addr));
+    return page != nullptr && (*page)[word_index(addr)] != 0;
   }
   void set_mem_word(std::uint32_t addr, bool tainted) {
-    if (tainted) {
-      pages_[addr >> kPageShift][word_index(addr)] = 1;
-    } else {
-      const auto it = pages_.find(addr >> kPageShift);
-      if (it != pages_.end()) {
-        it->second[word_index(addr)] = 0;
+    const std::uint32_t number = mem::page_of(addr);
+    ShadowPage* page = pages_.find(number);
+    if (page == nullptr) {
+      if (!tainted) {
+        return; // an absent page reads clean already
       }
+      std::unique_ptr<ShadowPage>& slot = pages_.slot(number);
+      slot = std::make_unique<ShadowPage>(); // value-initialised: clean
+      page = slot.get();
+      mapped_.push_back(number);
     }
+    (*page)[word_index(addr)] = tainted ? 1 : 0;
   }
 
   TaintStats& stats() { return stats_; }
@@ -142,11 +155,10 @@ public:
   }
 
 private:
-  static constexpr std::uint32_t kPageShift = 12; // match GuestMemory pages
-  static constexpr std::size_t kWordsPerPage = 1U << (kPageShift - 2);
+  using ShadowPage = std::array<std::uint8_t, mem::kPageBytes / 4>;
 
   static std::size_t word_index(std::uint32_t addr) {
-    return (addr & ((1U << kPageShift) - 1)) >> 2;
+    return (addr % mem::kPageBytes) >> 2;
   }
   static bool in(const std::vector<TaintRange>& ranges, std::uint32_t addr) {
     for (const TaintRange& r : ranges) {
@@ -166,8 +178,8 @@ private:
   std::array<std::uint8_t, 16> fregs_{};
   std::vector<TaintRange> sources_;
   std::vector<TaintRange> sinks_;
-  std::unordered_map<std::uint32_t, std::array<std::uint8_t, kWordsPerPage>>
-      pages_;
+  mem::PageTable<ShadowPage> pages_;
+  std::vector<std::uint32_t> mapped_; // numbers of mapped pages
   TaintStats stats_;
 };
 

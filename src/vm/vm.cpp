@@ -25,23 +25,18 @@ Vm::Vm(mem::GuestMemory& memory, mem::MemoryHierarchy& hierarchy,
                0);
   build_window_map(window_map_, cwp_, config_.nwindows);
   if (config_.core != VmCore::kReference) {
-    decode_ = std::make_unique<DecodeCache>();
-    memory_.add_write_listener(decode_.get());
+    decode_ = std::make_unique<DecodeCache>(memory_);
   }
   if (config_.taint) {
     taint_ = std::make_unique<TaintState>(config_.nwindows, window_map_);
   }
 }
 
-Vm::~Vm() {
-  if (decode_) {
-    memory_.remove_write_listener(decode_.get());
-  }
-}
+Vm::~Vm() = default;
 
 void Vm::predecode(std::uint32_t addr, std::uint32_t length) {
   if (decode_) {
-    decode_->predecode_range(memory_, addr, length);
+    decode_->predecode_range(addr, length);
   }
 }
 

@@ -114,8 +114,8 @@ public:
      VmConfig config = {});
   ~Vm();
 
-  // The fast core registers its decode cache as a guest-memory write
-  // listener; copying would double-register it.
+  // The fast core's decode cache is bound to the guest memory, which
+  // calls it on writes into decoded pages; a copy would bind a second one.
   Vm(const Vm&) = delete;
   Vm& operator=(const Vm&) = delete;
 

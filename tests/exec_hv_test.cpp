@@ -6,13 +6,18 @@
 // must reproduce the bare analysis protocol exactly.
 #include "casestudy/campaign.hpp"
 #include "casestudy/campaign_runner.hpp"
+#include "casestudy/measured_target.hpp"
 #include "exec/engine.hpp"
 #include "exec/registry.hpp"
+#include "isa/linker.hpp"
+#include "mem/guest_memory.hpp"
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace {
 
@@ -218,6 +223,63 @@ TEST(HvScenarios, GuestPartitionsAreLocked) {
         << locked.scenario;
     EXPECT_EQ(activations, locked.activations) << locked.scenario;
     EXPECT_EQ(cycles, locked.cycles) << locked.scenario;
+  }
+}
+
+// A guest's outputs are checked before each activation restages it, not
+// only after its last one: a corruption that lands between two frames must
+// fault although the next activation recomputes the outputs.  The
+// on-demand arm reseeds the measured partition before every partition
+// activation, copying each function into a fresh pool chunk and keeping
+// the old copies until the next reboot.  Here every chunk is one page, the
+// copy starts at byte 0 or 64 of it, and the code pool is exactly the
+// pages one run takes, beginning at the stressor guest's salt-and-status
+// page, whose signature word sits at byte 64.  So every run copies
+// measured code onto that page once, and a copy at byte 64 overwrites the
+// signature the guest's next activation would recompute (the salt beside
+// it is restaged every activation).  Over eight runs such a copy lands
+// between two activations of the guest, which only the per-frame check
+// can see.
+TEST(HvScenarios, GuestOutputsCorruptedBetweenFramesFault) {
+  CampaignConfig config = scenario("hv/control+stress", 8);
+  config.randomisation = casestudy::Randomisation::kDsrOnDemand;
+  config.hypervisor->frames = 4;
+  // Copies start at offset 0 or 64 of their one-page chunk.
+  config.dsr_options.alignment = 64;
+  config.dsr_options.offset_range = 128;
+  config.dsr_options.chunk_align = mem::GuestMemory::kPageBytes;
+
+  // Pages one run takes: one per relocated copy.
+  CampaignConfig probe = config;
+  probe.runs = 1;
+  probe.collect_metrics = true;
+  const std::uint64_t pages =
+      run_control_campaign(probe).metrics.counters.at("dsr.relocations");
+
+  // The stressor's placement (hv_runner.cpp's kStressorGuest).
+  isa::LinkOptions placement;
+  placement.code_base = 0x4500'0000;
+  placement.data_base = 0x4510'0000;
+  const isa::LinkedImage guest =
+      isa::link(casestudy::make_stressor_task()->program(), placement);
+  const std::uint32_t status = guest.symbol("st_status").addr;
+  const std::uint32_t page = status / mem::GuestMemory::kPageBytes *
+                             mem::GuestMemory::kPageBytes;
+  ASSERT_EQ(status - page, 64U) << "a copy at byte 64 must hit the signature";
+  ASSERT_LE(guest.symbol("st_buffer").addr + guest.symbol("st_buffer").size,
+            page)
+      << "the swept buffer must stay out of the pool";
+  config.dsr_options.code_pool = {
+      page, static_cast<std::uint32_t>(pages * mem::GuestMemory::kPageBytes)};
+  try {
+    (void)run_control_campaign(config);
+    FAIL() << "corrupted guest outputs went unnoticed";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("stressor guest outputs diverge from the golden "
+                        "model"),
+              std::string::npos)
+        << error.what();
   }
 }
 

@@ -1,5 +1,6 @@
 // Unit tests for the sparse big-endian guest memory.
 #include "mem/guest_memory.hpp"
+#include "vm/decode.hpp"
 
 #include <cmath>
 #include <gtest/gtest.h>
@@ -9,19 +10,60 @@
 namespace {
 
 using proxima::mem::GuestMemory;
-using proxima::mem::MemoryWriteListener;
+using proxima::vm::DecodeCache;
 
 /// The page table's leaves cover 4 MiB each.
 constexpr std::uint32_t kLeafBytes = 4U << 20;
 
-struct RecordingListener : MemoryWriteListener {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> writes;
-  int clears = 0;
-  void on_memory_written(std::uint32_t addr, std::uint32_t length) override {
-    writes.emplace_back(addr, length);
+/// Records what the bound decode cache sees of a write: a cache over `mem`
+/// with every word of [addr, addr+length) decoded.  A write into those
+/// pages reaches the cache once (one write event) and resets exactly the
+/// slots it covers, so the reset words give back the written span, at
+/// word granularity.
+class DecodedWindow {
+public:
+  DecodedWindow(GuestMemory& mem, std::uint32_t addr, std::uint32_t length)
+      : cache_(mem), first_(addr & ~3U), last_((addr + length - 1) & ~3U) {
+    cache_.predecode_range(first_, last_ - first_ + 4);
   }
-  void on_memory_cleared() override { ++clears; }
+
+  std::uint64_t events() const {
+    return cache_.stats().write_invalidation_events;
+  }
+
+  /// (first byte, byte count) of the contiguous run of words a write
+  /// reset; (0, 0) if none.  Probing re-decodes the window.
+  std::pair<std::uint32_t, std::uint32_t> reset_span() {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+    for (std::uint32_t pc = first_; pc <= last_; pc += 4) {
+      const std::uint64_t decodes = cache_.stats().decodes;
+      cache_.at(pc);
+      if (cache_.stats().decodes == decodes) {
+        continue;
+      }
+      if (end == 0) {
+        begin = pc;
+      } else {
+        EXPECT_EQ(end, pc) << "the reset words are not contiguous";
+      }
+      end = pc + 4;
+    }
+    return {begin, end - begin};
+  }
+
+private:
+  DecodeCache cache_;
+  std::uint32_t first_;
+  std::uint32_t last_;
 };
+
+/// The word-aligned span covering [addr, addr+length).
+std::pair<std::uint32_t, std::uint32_t> word_span(std::uint32_t addr,
+                                                  std::uint32_t length) {
+  const std::uint32_t first = addr & ~3U;
+  return {first, ((addr + length - 1) & ~3U) + 4 - first};
+}
 
 TEST(GuestMemory, ZeroInitialised) {
   GuestMemory mem;
@@ -189,12 +231,15 @@ TEST(GuestMemory, ResidentPagesCountAcrossLeaves) {
 
 TEST(GuestMemory, ClearReadsZeroAndNotifiesOnce) {
   GuestMemory mem;
-  RecordingListener listener;
-  mem.add_write_listener(&listener);
+  DecodeCache cache(mem);
   mem.write_u32(0x700, 0x12345678);
   mem.write_u32(kLeafBytes * 3 + 0x10, 0x9abcdef0);
+  cache.at(0x700);
+  cache.at(kLeafBytes * 3 + 0x10);
+  ASSERT_EQ(cache.resident_pages(), 2u);
   mem.clear();
-  EXPECT_EQ(listener.clears, 1);
+  EXPECT_EQ(cache.stats().full_invalidations, 1u);
+  EXPECT_EQ(cache.resident_pages(), 0u);
   EXPECT_EQ(mem.resident_pages(), 0u);
   EXPECT_EQ(mem.read_u32(0x700), 0u);
   EXPECT_EQ(mem.read_u32(kLeafBytes * 3 + 0x10), 0u);
@@ -202,23 +247,24 @@ TEST(GuestMemory, ClearReadsZeroAndNotifiesOnce) {
   mem.write_u8(0x700, 7);
   EXPECT_EQ(mem.read_u8(0x700), 7u);
   EXPECT_EQ(mem.resident_pages(), 1u);
-  mem.remove_write_listener(&listener);
+  EXPECT_EQ(cache.stats().write_invalidation_events, 0u);
 }
 
 TEST(GuestMemory, LoadAndFillAcrossLeafNotifyOnceWithFullRange) {
   GuestMemory mem;
-  RecordingListener listener;
-  mem.add_write_listener(&listener);
-
   const std::uint32_t base = kLeafBytes - 3 * GuestMemory::kPageBytes - 5;
   std::vector<std::uint8_t> bytes(6 * GuestMemory::kPageBytes + 11);
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     bytes[i] = static_cast<std::uint8_t>(i * 7 + 1);
   }
-  mem.load(base, bytes);
-  ASSERT_EQ(listener.writes.size(), 1u);
-  EXPECT_EQ(listener.writes[0],
-            std::make_pair(base, static_cast<std::uint32_t>(bytes.size())));
+  const auto length = static_cast<std::uint32_t>(bytes.size());
+  {
+    // A word of margin on each side: the write must not reset it.
+    DecodedWindow window(mem, base - 4, length + 8);
+    mem.load(base, bytes);
+    EXPECT_EQ(window.events(), 1u);
+    EXPECT_EQ(window.reset_span(), word_span(base, length));
+  }
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     ASSERT_EQ(mem.read_u8(base + static_cast<std::uint32_t>(i)), bytes[i])
         << i;
@@ -226,16 +272,18 @@ TEST(GuestMemory, LoadAndFillAcrossLeafNotifyOnceWithFullRange) {
   EXPECT_EQ(mem.read_u8(base - 1), 0u);
   EXPECT_EQ(mem.resident_pages(), 8u);
 
-  listener.writes.clear();
   const std::uint32_t fill_base = 2 * kLeafBytes - 10;
-  mem.fill(fill_base, 2 * GuestMemory::kPageBytes, 0x5a);
-  ASSERT_EQ(listener.writes.size(), 1u);
-  EXPECT_EQ(listener.writes[0],
-            std::make_pair(fill_base, 2 * GuestMemory::kPageBytes));
+  {
+    DecodedWindow window(mem, fill_base - 4,
+                         2 * GuestMemory::kPageBytes + 8);
+    mem.fill(fill_base, 2 * GuestMemory::kPageBytes, 0x5a);
+    EXPECT_EQ(window.events(), 1u);
+    EXPECT_EQ(window.reset_span(),
+              word_span(fill_base, 2 * GuestMemory::kPageBytes));
+  }
   EXPECT_EQ(mem.read_u32(2 * kLeafBytes - 4), 0x5a5a5a5au);
   EXPECT_EQ(mem.read_u8(fill_base + 2 * GuestMemory::kPageBytes - 1), 0x5au);
   EXPECT_EQ(mem.read_u8(fill_base + 2 * GuestMemory::kPageBytes), 0u);
-  mem.remove_write_listener(&listener);
 }
 
 } // namespace

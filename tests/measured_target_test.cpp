@@ -13,7 +13,9 @@
 #include "isa/linker.hpp"
 #include "mem/guest_memory.hpp"
 #include "mem/hierarchy.hpp"
+#include "mem/page_table.hpp"
 #include "rng/mwc.hpp"
+#include "vm/decode.hpp"
 
 #include <gtest/gtest.h>
 
@@ -234,35 +236,80 @@ TEST(MeasuredTarget, HvImageRejectsStaticRandomisation) {
 
 using Range = std::pair<std::uint32_t, std::uint32_t>; // (addr, length)
 
-/// Collects the guest-memory writes made while attached, merging a write
-/// that continues the previous one into a single range.
-class WriteRecorder final : public mem::MemoryWriteListener {
-public:
-  void on_memory_written(std::uint32_t addr, std::uint32_t length) override {
-    if (!ranges.empty() &&
-        ranges.back().first + ranges.back().second == addr) {
-      ranges.back().second += length;
-    } else {
-      ranges.emplace_back(addr, length);
+/// The pages `image` occupies, code then data, cut into windows of at
+/// most DecodeCache::kMaxPages pages: one window fits one decode cache.
+std::vector<std::vector<std::uint32_t>> image_windows(
+    const isa::LinkedImage& image) {
+  std::vector<std::uint32_t> pages;
+  for (const Range& extent :
+       {Range{image.code_begin(), image.code_end() - image.code_begin()},
+        Range{image.data_begin(), image.data_end() - image.data_begin()}}) {
+    if (extent.second == 0) {
+      continue;
+    }
+    for (std::uint32_t page = mem::page_of(extent.first);
+         page <= mem::page_of(extent.first + extent.second - 1); ++page) {
+      if (pages.empty() || pages.back() < page) {
+        pages.push_back(page);
+      }
     }
   }
-  void on_memory_cleared() override {}
+  std::vector<std::vector<std::uint32_t>> windows;
+  for (std::size_t first = 0; first < pages.size();
+       first += vm::DecodeCache::kMaxPages) {
+    const std::size_t last =
+        std::min(pages.size(), first + vm::DecodeCache::kMaxPages);
+    windows.emplace_back(pages.begin() + static_cast<std::ptrdiff_t>(first),
+                         pages.begin() + static_cast<std::ptrdiff_t>(last));
+  }
+  return windows;
+}
 
+/// The word ranges `write` stores into the `window` pages of `memory`, in
+/// address order: a decode cache bound to the memory holds every word of
+/// the window decoded, a write resets exactly the slots it covers, and
+/// probing the slots afterwards finds the reset ones.
+template <typename Write>
+std::vector<Range> written_words(mem::GuestMemory& memory,
+                                 const std::vector<std::uint32_t>& window,
+                                 Write write) {
+  vm::DecodeCache cache(memory);
+  for (const std::uint32_t page : window) {
+    cache.predecode_range(page * mem::kPageBytes, mem::kPageBytes);
+  }
+  write();
   std::vector<Range> ranges;
-};
+  for (const std::uint32_t page : window) {
+    for (std::uint32_t pc = page * mem::kPageBytes;
+         pc < (page + 1) * mem::kPageBytes; pc += 4) {
+      const std::uint64_t decodes = cache.stats().decodes;
+      cache.at(pc);
+      if (cache.stats().decodes == decodes) {
+        continue;
+      }
+      if (!ranges.empty() &&
+          ranges.back().first + ranges.back().second == pc) {
+        ranges.back().second += 4;
+      } else {
+        ranges.emplace_back(pc, 4);
+      }
+    }
+  }
+  return ranges;
+}
 
-/// The ranges `task` writes when it stages its current inputs over a
-/// freshly loaded `image`, found on a platform of their own.
+/// The ranges `task` writes into `window` when it stages its current
+/// inputs over a freshly loaded `image`, found on a platform of their own.
 std::vector<Range> staged_ranges(const casestudy::Task& task,
-                                 const isa::LinkedImage& image, bool full) {
+                                 const isa::LinkedImage& image,
+                                 const std::vector<std::uint32_t>& window,
+                                 bool full) {
   mem::GuestMemory memory;
   mem::MemoryHierarchy hierarchy(mem::leon3_hierarchy_config());
   image.load_into(memory);
-  WriteRecorder recorder;
-  memory.add_write_listener(&recorder);
-  task.stage(memory, hierarchy, image, full);
-  memory.remove_write_listener(&recorder);
-  return recorder.ranges;
+  return written_words(memory, window, [&] {
+    task.stage(memory, hierarchy, image, full);
+  });
 }
 
 /// Line addresses (`line_bytes` apart) covering `range`.
@@ -296,51 +343,58 @@ TEST(Task, StagingInvalidatesEveryLineItWrites) {
     task->draw(rng);
     for (const bool full : {false, true}) {
       SCOPED_TRACE(std::string(name) + (full ? " full" : " incremental"));
-      const std::vector<Range> ranges = staged_ranges(*task, image, full);
-      ASSERT_FALSE(ranges.empty());
+      // One platform per window of the image, each staged once.
+      bool staged_any = false;
+      for (const std::vector<std::uint32_t>& window : image_windows(image)) {
+        const std::vector<Range> ranges =
+            staged_ranges(*task, image, window, full);
+        staged_any |= !ranges.empty();
 
-      mem::GuestMemory memory;
-      mem::MemoryHierarchy hierarchy(mem::leon3_hierarchy_config());
-      image.load_into(memory);
-      const std::uint32_t line_bytes = hierarchy.l2().config().line_bytes;
-      // Warm IL1, DL1 and the L2 over every line staging will write (a
-      // fetch fills IL1, a load fills DL1, both fill the L2), and check
-      // that each written range then has a valid line in every level, so a
-      // missed invalidation cannot hide behind a cold cache.
-      for (const Range& range : ranges) {
-        for (const std::uint32_t line : lines_of(range, line_bytes)) {
-          hierarchy.fetch(line);
-          hierarchy.load(line);
+        mem::GuestMemory memory;
+        mem::MemoryHierarchy hierarchy(mem::leon3_hierarchy_config());
+        image.load_into(memory);
+        const std::uint32_t line_bytes = hierarchy.l2().config().line_bytes;
+        // Warm IL1, DL1 and the L2 over every line staging will write (a
+        // fetch fills IL1, a load fills DL1, both fill the L2), and check
+        // that each written range then has a valid line in every level, so
+        // a missed invalidation cannot hide behind a cold cache.
+        for (const Range& range : ranges) {
+          for (const std::uint32_t line : lines_of(range, line_bytes)) {
+            hierarchy.fetch(line);
+            hierarchy.load(line);
+          }
         }
-      }
-      for (const Range& range : ranges) {
-        const std::vector<std::uint32_t> lines = lines_of(range, line_bytes);
-        for (mem::Cache* level :
-             {&hierarchy.il1(), &hierarchy.dl1(), &hierarchy.l2()}) {
-          EXPECT_TRUE(std::any_of(lines.begin(), lines.end(),
-                                  [level](std::uint32_t line) {
-                                    return level->contains(line);
-                                  }))
-              << level->config().name << " is cold over 0x" << std::hex
-              << range.first;
-        }
-      }
-
-      WriteRecorder recorder;
-      memory.add_write_listener(&recorder);
-      task->stage(memory, hierarchy, image, full);
-      memory.remove_write_listener(&recorder);
-      EXPECT_EQ(recorder.ranges, ranges);
-      for (const Range& range : recorder.ranges) {
-        for (const std::uint32_t line : lines_of(range, line_bytes)) {
+        for (const Range& range : ranges) {
+          const std::vector<std::uint32_t> lines =
+              lines_of(range, line_bytes);
           for (mem::Cache* level :
                {&hierarchy.il1(), &hierarchy.dl1(), &hierarchy.l2()}) {
-            EXPECT_FALSE(level->contains(line))
-                << level->config().name << " line 0x" << std::hex << line
-                << " is still valid after staging";
+            EXPECT_TRUE(std::any_of(lines.begin(), lines.end(),
+                                    [level](std::uint32_t line) {
+                                      return level->contains(line);
+                                    }))
+                << level->config().name << " is cold over 0x" << std::hex
+                << range.first;
+          }
+        }
+
+        const std::vector<Range> written =
+            written_words(memory, window, [&] {
+              task->stage(memory, hierarchy, image, full);
+            });
+        EXPECT_EQ(written, ranges);
+        for (const Range& range : written) {
+          for (const std::uint32_t line : lines_of(range, line_bytes)) {
+            for (mem::Cache* level :
+                 {&hierarchy.il1(), &hierarchy.dl1(), &hierarchy.l2()}) {
+              EXPECT_FALSE(level->contains(line))
+                  << level->config().name << " line 0x" << std::hex << line
+                  << " is still valid after staging";
+            }
           }
         }
       }
+      ASSERT_TRUE(staged_any);
     }
   }
 }

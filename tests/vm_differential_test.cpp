@@ -100,6 +100,30 @@ TEST(VmDifferential, LazyRelocationRewritesCodeMidRun) {
       << "control/dsr-lazy no longer produces lazy-relocation stubs";
 }
 
+// The decode cache drops every page at DecodeCache::kMaxPages and recycles
+// the pages through a free list, resetting only the slots each one
+// decoded.  A stale DecodedOp left in a recycled page is live memory, not
+// freed memory, so no sanitizer can see it: only a differential run that
+// crosses the cap can.  leak/beacon-ondemand moves its code onto fresh
+// pool pages three times a run, about 3.6 new decode pages per run, so
+// kMaxPages runs on one runner cross the cap three times or more; the test
+// fails if they stop crossing it twice.
+TEST(VmDifferential, DecodePageRecyclingAcrossTheCap) {
+  exec::ScenarioRegistry registry;
+  exec::register_default_scenarios(registry);
+  CampaignConfig config = registry.at("leak/beacon-ondemand")
+                              .make_config(vm::DecodeCache::kMaxPages);
+  config.collect_metrics = true;
+  const CampaignResult fast = run_with_core(config, vm::VmCore::kFast);
+  const CampaignResult reference =
+      run_with_core(config, vm::VmCore::kReference);
+  expect_bit_identical(fast, reference, "leak/beacon-ondemand [fast]");
+  EXPECT_EQ(obs::metrics_digest_hex(fast.metrics),
+            obs::metrics_digest_hex(reference.metrics));
+  EXPECT_GE(fast.metrics.gauges.at("vm.decode.full_invalidations"), 2.0)
+      << "the campaign no longer crosses the decode-page cap";
+}
+
 // The observability registry is part of the equivalence contract: both
 // cores must publish bit-identical deterministic metrics — instruction mix,
 // memory-hierarchy counters, DSR activity, UoA-cycle histograms — for the
