@@ -106,7 +106,10 @@ const char* measured_partition_name(MeasuredTargetKind kind) noexcept;
 /// `frames` minor frames of the cyclic schedule from a fresh timeline:
 ///   * the measured partition activates exactly once, in the LAST minor
 ///     frame (its period is `frames` minor frames, offset to the end), so
-///     the guests' cache/TLB interference precedes the measured activation;
+///     the guests' activations in the earlier frames, and their cache/TLB
+///     interference, precede the measured activation; within the last
+///     frame high criticality runs it first and that frame's guests
+///     follow it;
 ///   * guest partitions activate every minor frame with fresh inputs drawn
 ///     from per-partition streams (`exec::derive_partition_seed`, whose
 ///     partition indices are fixed per task kind — see hv_runner.cpp), so

@@ -198,10 +198,12 @@ struct CampaignRunner::HvState {
           runner, "stressor", kStressorGuest, make_stressor_task()));
     }
     // The measured partition activates once per run, in the LAST minor
-    // frame, so every guest activation of the run precedes the measured
-    // one; high criticality still puts it first within that frame.  No
-    // campaign partition carries a budget: each is granted the rest of its
-    // minor frame.
+    // frame, so the guest activations of every earlier frame precede it.
+    // High criticality puts it first within that frame, and that frame's
+    // guests follow it: on `hv/control+image-dsr` the image guest evicts
+    // the measured code before the next reboot, which is why that
+    // scenario's `dsr.lines_invalidated` reads 0.  No campaign partition
+    // carries a budget: each is granted the rest of its minor frame.
     const std::uint32_t frame_ms = hypervisor.config().minor_frame_ms;
     const std::uint64_t period = std::uint64_t{hv.frames} * frame_ms;
     if (period > std::numeric_limits<std::uint32_t>::max()) {

@@ -1,6 +1,7 @@
 #include "dsr_runtime.hpp"
 
 #include <algorithm>
+#include <sstream>
 
 namespace proxima::dsr {
 
@@ -19,6 +20,22 @@ DsrRuntime::DsrRuntime(mem::GuestMemory& memory,
   }
   functab_addr_ = image_.symbol(kFunctabSymbol).addr;
   stackoff_addr_ = image_.symbol(kStackoffSymbol).addr;
+  // Every reseed copies code into the pool: over the image, it would
+  // overwrite the measured program or its DSR tables (in the data section).
+  const auto reject_overlap = [&](const char* section, std::uint32_t begin,
+                                  std::uint32_t end) {
+    const std::uint64_t pool_begin = options_.code_pool.base;
+    const std::uint64_t pool_end = pool_begin + options_.code_pool.size;
+    if (begin < end && pool_begin < end && begin < pool_end) {
+      std::ostringstream oss;
+      oss << std::hex << "code pool [0x" << pool_begin << ", 0x" << pool_end
+          << ") overlaps the image's " << section << " section [0x" << begin
+          << ", 0x" << end << ")";
+      throw DsrError(oss.str());
+    }
+  };
+  reject_overlap("code", image_.code_begin(), image_.code_end());
+  reject_overlap("data", image_.data_begin(), image_.data_end());
 
   const auto& records = image_.functions();
   current_address_.assign(records.size(), 0);

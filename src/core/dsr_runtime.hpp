@@ -59,7 +59,9 @@ struct RuntimeOptions {
   /// same Stats); disable to run the original per-word sequence, which the
   /// differential tests and bench compare against.
   bool batched_relocation = true;
-  /// Guest region backing the code pool (disjoint from the linked image).
+  /// Guest region backing the code pool.  It must be disjoint from the
+  /// linked image's code and data sections; `DsrRuntime` rejects an
+  /// overlap with `DsrError`.
   alloc::Region code_pool{0x4100'0000, 32 * 1024 * 1024};
   /// Cycle cost per copied word charged to a lazy first-call relocation.
   std::uint32_t lazy_copy_cycles_per_word = 2;

@@ -58,22 +58,6 @@ std::uint32_t Cache::next_random() {
   return rng_state_;
 }
 
-Cache::Line* Cache::find_line(std::uint32_t addr) {
-  const std::uint32_t set = set_index(addr);
-  const std::uint32_t tag = tag_of(addr);
-  Line* base = &lines_[static_cast<std::size_t>(set) * config_.ways];
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    if (base[w].valid && base[w].tag == tag) {
-      return &base[w];
-    }
-  }
-  return nullptr;
-}
-
-const Cache::Line* Cache::find_line(std::uint32_t addr) const {
-  return const_cast<Cache*>(this)->find_line(addr);
-}
-
 Cache::Line& Cache::choose_victim(std::uint32_t set) {
   Line* base = &lines_[static_cast<std::size_t>(set) * config_.ways];
   // Prefer an invalid way.
@@ -101,78 +85,38 @@ Cache::Line& Cache::choose_victim(std::uint32_t set) {
 AccessResult Cache::read(std::uint32_t addr) {
   AccessResult result;
   if (Line* line = find_line(addr)) {
-    ++stats_.hits;
     line->last_use = ++use_clock_;
     result.hit = true;
-    if (line->stale) {
-      ++stats_.stale_hits;
-      result.stale_hit = true;
-    }
+    result.stale_hit = line->stale;
     return result;
   }
-  ++stats_.misses;
-  const std::uint32_t set = set_index(addr);
-  Line& victim = choose_victim(set);
-  if (victim.valid) {
-    ++stats_.evictions;
-    if (victim.dirty) {
-      ++stats_.writebacks;
-      result.writeback_addr = addr_of_tag(victim.tag);
-    }
-  }
-  victim.valid = true;
-  victim.dirty = false;
-  victim.stale = false;
-  victim.tag = tag_of(addr);
-  victim.last_use = ++use_clock_;
-  result.filled = true;
+  fill(addr, /*dirty=*/false, result);
   return result;
 }
 
 AccessResult Cache::write(std::uint32_t addr) {
   AccessResult result;
-  switch (config_.write_policy) {
-  case WritePolicy::kWriteThroughNoAllocate: {
-    if (Line* line = find_line(addr)) {
-      ++stats_.hits;
-      line->last_use = ++use_clock_;
-      line->stale = false; // line now matches what goes to memory
-      result.hit = true;
-    } else {
-      ++stats_.misses;
-    }
-    ++stats_.write_through; // every write continues downstream
-    return result;
-  }
-  case WritePolicy::kWriteBackAllocate: {
-    if (Line* line = find_line(addr)) {
-      ++stats_.hits;
-      line->last_use = ++use_clock_;
+  if (Line* line = find_line(addr)) {
+    line->last_use = ++use_clock_;
+    line->stale = false; // the line now matches what goes to memory
+    if (config_.write_policy == WritePolicy::kWriteBackAllocate) {
       line->dirty = true;
-      line->stale = false;
-      result.hit = true;
-      return result;
     }
-    ++stats_.misses;
-    const std::uint32_t set = set_index(addr);
-    Line& victim = choose_victim(set);
-    if (victim.valid) {
-      ++stats_.evictions;
-      if (victim.dirty) {
-        ++stats_.writebacks;
-        result.writeback_addr = addr_of_tag(victim.tag);
-      }
-    }
-    victim.valid = true;
-    victim.dirty = true;
-    victim.stale = false;
-    victim.tag = tag_of(addr);
-    victim.last_use = ++use_clock_;
-    result.filled = true;
-    return result;
-  }
+    result.hit = true;
+  } else if (config_.write_policy == WritePolicy::kWriteBackAllocate) {
+    fill(addr, /*dirty=*/true, result);
   }
   return result;
+}
+
+void Cache::fill(std::uint32_t addr, bool dirty, AccessResult& result) {
+  Line& victim = choose_victim(set_index(addr));
+  result.writeback = victim.valid && victim.dirty;
+  victim.valid = true;
+  victim.dirty = dirty;
+  victim.stale = false;
+  victim.tag = tag_of(addr);
+  victim.last_use = ++use_clock_;
 }
 
 bool Cache::contains(std::uint32_t addr) const {
@@ -184,40 +128,35 @@ bool Cache::line_dirty(std::uint32_t addr) const {
   return line != nullptr && line->dirty;
 }
 
-std::optional<std::uint32_t> Cache::invalidate_line(std::uint32_t addr) {
-  if (Line* line = find_line(addr)) {
-    ++stats_.invalidations;
-    line->valid = false;
-    if (line->dirty) {
-      line->dirty = false;
-      return addr_of_tag(line->tag);
-    }
-  }
-  return std::nullopt;
+Invalidated Cache::drop(Line& line) {
+  const Invalidated dropped{1, line.dirty ? 1U : 0U};
+  line.valid = false;
+  line.dirty = false;
+  return dropped;
 }
 
-void Cache::invalidate_range(std::uint32_t addr, std::uint32_t length,
-                             std::vector<std::uint32_t>* writebacks) {
+Invalidated Cache::invalidate_range(std::uint32_t addr,
+                                    std::uint32_t length) {
+  Invalidated dropped;
   if (length == 0) {
-    return;
+    return dropped;
   }
   const std::uint32_t first = line_base(addr);
   const std::uint32_t last = line_base(addr + length - 1);
-  for (std::uint32_t line = first;; line += config_.line_bytes) {
-    if (auto wb = invalidate_line(line)) {
-      if (writebacks != nullptr) {
-        writebacks->push_back(*wb);
-      }
+  for (std::uint32_t line_addr = first;; line_addr += config_.line_bytes) {
+    if (Line* line = find_line(line_addr)) {
+      dropped += drop(*line);
     }
-    if (line == last) {
+    if (line_addr == last) {
       break;
     }
   }
+  return dropped;
 }
 
-void Cache::invalidate_ranges(
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& ranges,
-    std::vector<std::uint32_t>* writebacks) {
+Invalidated Cache::invalidate_ranges(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& ranges) {
+  Invalidated dropped;
   std::uint64_t span_lines = 0;
   for (const auto& [addr, length] : ranges) {
     if (length != 0) {
@@ -230,9 +169,9 @@ void Cache::invalidate_ranges(
     // Small batch: the per-address probes visit fewer lines than a full
     // tag walk would.
     for (const auto& [addr, length] : ranges) {
-      invalidate_range(addr, length, writebacks);
+      dropped += invalidate_range(addr, length);
     }
-    return;
+    return dropped;
   }
   // Tag walk: visit each line once and test membership against the sorted
   // disjoint ranges.  Only the closest range starting at or below the
@@ -254,29 +193,20 @@ void Cache::invalidate_ranges(
     if (addr + length <= base) {
       continue;
     }
-    ++stats_.invalidations;
-    line.valid = false;
-    if (line.dirty) {
-      line.dirty = false;
-      if (writebacks != nullptr) {
-        writebacks->push_back(base);
-      }
-    }
+    dropped += drop(line);
   }
+  return dropped;
 }
 
-void Cache::invalidate_all(std::vector<std::uint32_t>* writebacks) {
+Invalidated Cache::invalidate_all() {
+  Invalidated dropped;
   for (Line& line : lines_) {
     if (line.valid) {
-      ++stats_.invalidations;
-      if (line.dirty && writebacks != nullptr) {
-        writebacks->push_back(addr_of_tag(line.tag));
-      }
+      dropped += drop(line);
     }
-    line.valid = false;
-    line.dirty = false;
     line.stale = false;
   }
+  return dropped;
 }
 
 void Cache::mark_stale(std::uint32_t addr, std::uint32_t length) {

@@ -11,7 +11,10 @@
 // so the ablation benches can put DSR and hardware randomisation
 // side by side, as PROXIMA did.
 //
-// The model is tag-only: data lives in GuestMemory.  SPARC's lack of
+// The model is tag-only: data lives in GuestMemory, and counting is the
+// caller's.  Each access returns its outcome (`AccessResult`, `Invalidated`)
+// and the memory hierarchy books it into `PerfCounters`, the platform's one
+// counter set; a cache keeps no statistics of its own.  SPARC's lack of
 // instruction/data coherence is modelled with a per-line `stale` bit that
 // the hierarchy sets when memory under a valid line is rewritten (e.g. by
 // the DSR relocation loop); fetching a stale line is a coherence violation
@@ -19,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,34 +51,27 @@ struct CacheConfig {
   std::uint32_t way_bytes() const { return size_bytes / ways; }
 };
 
-struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t writebacks = 0;        // dirty evictions
-  std::uint64_t write_through = 0;     // writes forwarded downstream
-  std::uint64_t stale_hits = 0;        // coherence violations observed
-  std::uint64_t invalidations = 0;     // lines dropped by invalidate calls
-
-  std::uint64_t accesses() const { return hits + misses; }
-  double miss_ratio() const {
-    return accesses() == 0 ? 0.0
-                           : static_cast<double>(misses) /
-                                 static_cast<double>(accesses());
-  }
-  void reset() { *this = CacheStats{}; }
-};
-
 /// Outcome of a single cache access, consumed by the hierarchy to decide
 /// what traffic continues downstream.
 struct AccessResult {
   bool hit = false;
   bool stale_hit = false; // hit on a line whose backing memory changed
-  /// Address of a dirty line evicted to make room (write-back caches only);
-  /// the hierarchy charges a downstream write for it.
-  std::optional<std::uint32_t> writeback_addr;
-  /// True when the access allocated a line (miss fill).
-  bool filled = false;
+  /// A dirty line was evicted to make room (write-back caches only); the
+  /// hierarchy charges a downstream write for it.
+  bool writeback = false;
+};
+
+/// What an invalidation dropped: the valid lines, and how many of them
+/// were dirty (each a write-back the caller charges downstream).
+struct Invalidated {
+  std::uint32_t lines = 0;
+  std::uint32_t dirty = 0;
+
+  Invalidated& operator+=(const Invalidated& other) {
+    lines += other.lines;
+    dirty += other.dirty;
+    return *this;
+  }
 };
 
 class Cache {
@@ -86,69 +81,41 @@ public:
   /// Read access (instruction fetch or data load).
   AccessResult read(std::uint32_t addr);
 
-  /// What `read_hit_fast` returns when it declines.
-  static constexpr std::uint32_t kNoSlot = 0xffff'ffff;
-
   /// Inline clean-hit probe for the fast VM core.  For a valid, non-stale
-  /// line under modulo placement it accounts the hit exactly as `read`
-  /// would (hit counter, LRU bump) and returns the line's slot.  Otherwise
-  /// it returns kNoSlot with NO state change; the caller must then perform
-  /// the full `read`.
-  std::uint32_t read_hit_fast(std::uint32_t addr) {
+  /// line under modulo placement it does exactly what `read` would (the
+  /// LRU bump) and returns true.  Otherwise it returns false with NO state
+  /// change; the caller must then perform the full `read`.
+  bool read_hit_fast(std::uint32_t addr) {
     if (config_.placement != Placement::kModulo) {
-      return kNoSlot;
+      return false;
     }
     const std::uint32_t tag = addr >> line_shift_;
-    const std::uint32_t first = (tag & set_mask_) * config_.ways;
-    for (std::uint32_t w = 0; w < config_.ways; ++w) {
-      Line& line = lines_[first + w];
-      if (line.valid && line.tag == tag) {
-        if (line.stale) {
-          return kNoSlot; // coherence bookkeeping needs the slow path
-        }
-        ++stats_.hits;
-        line.last_use = ++use_clock_;
-        return first + w;
-      }
+    Line* line = find_in_set(tag & set_mask_, tag);
+    if (line == nullptr || line->stale) {
+      return false; // a stale hit's coherence bookkeeping needs `read`
     }
-    return kNoSlot;
-  }
-
-  /// Book `n` further clean read hits on the line in `slot`, as returned by
-  /// `read_hit_fast`: exactly the state `n` such hits leave behind.  The
-  /// memory hierarchy's same-line memo defers its hits and books them here
-  /// before anything else touches the cache.
-  void book_hits(std::uint32_t slot, std::uint64_t n) {
-    stats_.hits += n;
-    use_clock_ += n;
-    lines_[slot].last_use = use_clock_;
+    line->last_use = ++use_clock_;
+    return true;
   }
 
   /// Inline write-hit probe, the store-path counterpart of
-  /// `read_hit_fast`: accounts a hit exactly as `write` would (including
-  /// the dirty/write-through policy effects) or changes nothing.
+  /// `read_hit_fast`: does exactly what `write` would on a hit (LRU bump,
+  /// dirty bit under write-back) or changes nothing.
   bool write_hit_fast(std::uint32_t addr) {
     if (config_.placement != Placement::kModulo) {
       return false;
     }
     const std::uint32_t tag = addr >> line_shift_;
-    Line* base = &lines_[static_cast<std::size_t>(tag & set_mask_) *
-                         config_.ways];
-    for (std::uint32_t w = 0; w < config_.ways; ++w) {
-      Line& line = base[w];
-      if (line.valid && line.tag == tag) {
-        ++stats_.hits;
-        line.last_use = ++use_clock_;
-        line.stale = false;
-        if (config_.write_policy == WritePolicy::kWriteBackAllocate) {
-          line.dirty = true;
-        } else {
-          ++stats_.write_through;
-        }
-        return true;
-      }
+    Line* line = find_in_set(tag & set_mask_, tag);
+    if (line == nullptr) {
+      return false;
     }
-    return false;
+    line->last_use = ++use_clock_;
+    line->stale = false;
+    if (config_.write_policy == WritePolicy::kWriteBackAllocate) {
+      line->dirty = true;
+    }
+    return true;
   }
 
   /// Inline single-line staleness probe: equivalent to `mark_stale` when
@@ -158,13 +125,8 @@ public:
     if (length != 0 && config_.placement == Placement::kModulo &&
         line_base(addr) == line_base(addr + length - 1)) {
       const std::uint32_t tag = addr >> line_shift_;
-      Line* base = &lines_[static_cast<std::size_t>(tag & set_mask_) *
-                           config_.ways];
-      for (std::uint32_t w = 0; w < config_.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-          base[w].stale = true;
-          return;
-        }
+      if (Line* line = find_in_set(tag & set_mask_, tag)) {
+        line->stale = true;
       }
       return;
     }
@@ -173,7 +135,7 @@ public:
 
   /// Write access; behaviour depends on the configured write policy.
   /// Write-through no-allocate: hit updates the line, miss changes nothing;
-  /// either way the write is forwarded downstream (stats.write_through).
+  /// either way the caller forwards the write downstream.
   /// Write-back allocate: miss fills the line; line becomes dirty.
   AccessResult write(std::uint32_t addr);
 
@@ -183,29 +145,21 @@ public:
   /// True if the line holding `addr` is valid and dirty.
   bool line_dirty(std::uint32_t addr) const;
 
-  /// Drop the line holding `addr` if present.  Returns the dirty line's
-  /// base address if a write-back is required (caller forwards it).
-  std::optional<std::uint32_t> invalidate_line(std::uint32_t addr);
-
-  /// Invalidate every line intersecting [addr, addr+length); dirty lines'
-  /// base addresses are appended to `writebacks` if non-null.
-  void invalidate_range(std::uint32_t addr, std::uint32_t length,
-                        std::vector<std::uint32_t>* writebacks = nullptr);
+  /// Invalidate every line intersecting [addr, addr+length).
+  Invalidated invalidate_range(std::uint32_t addr, std::uint32_t length);
 
   /// Invalidate every line intersecting any of `ranges` — sorted by
-  /// address and pairwise disjoint (addr, length) pairs.  State-equivalent
-  /// to one `invalidate_range` call per range; the writeback order is
-  /// unspecified (callers count, they do not replay).  When the ranges
-  /// span more lines than the cache holds, the tag array is walked once
-  /// instead of probing per line address — the reseed fast path for the
-  /// DSR invalidation routine over a whole retired layout.
-  void invalidate_ranges(
-      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& ranges,
-      std::vector<std::uint32_t>* writebacks = nullptr);
+  /// address and pairwise disjoint (addr, length) pairs.  State- and
+  /// count-equivalent to one `invalidate_range` call per range.  When the
+  /// ranges span more lines than the cache holds, the tag array is walked
+  /// once instead of probing per line address — the reseed fast path for
+  /// the DSR invalidation routine over a whole retired layout.
+  Invalidated invalidate_ranges(
+      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& ranges);
 
-  /// Invalidate everything.  Dirty lines are appended to `writebacks` if
-  /// non-null (PikeOS flushes write-back caches on partition start).
-  void invalidate_all(std::vector<std::uint32_t>* writebacks = nullptr);
+  /// Invalidate everything (PikeOS flushes write-back caches on partition
+  /// start; the caller drains the dirty lines).
+  Invalidated invalidate_all();
 
   /// Mark valid lines intersecting [addr, addr+length) as stale: backing
   /// memory has been modified behind the cache's back (no I/D coherence).
@@ -216,8 +170,6 @@ public:
   void reseed(std::uint64_t seed);
 
   const CacheConfig& config() const noexcept { return config_; }
-  const CacheStats& stats() const noexcept { return stats_; }
-  void reset_stats() { stats_.reset(); }
 
   /// Set index for an address under the configured placement function.
   std::uint32_t set_index(std::uint32_t addr) const;
@@ -242,13 +194,31 @@ private:
     return tag << line_shift_;
   }
 
-  Line* find_line(std::uint32_t addr);
-  const Line* find_line(std::uint32_t addr) const;
+  /// The valid line holding `tag` in `set`, or null.
+  Line* find_in_set(std::uint32_t set, std::uint32_t tag) {
+    Line* base = &lines_[static_cast<std::size_t>(set) * config_.ways];
+    for (std::uint32_t w = 0; w < config_.ways; ++w) {
+      if (base[w].valid && base[w].tag == tag) {
+        return &base[w];
+      }
+    }
+    return nullptr;
+  }
+  Line* find_line(std::uint32_t addr) {
+    return find_in_set(set_index(addr), tag_of(addr));
+  }
+  const Line* find_line(std::uint32_t addr) const {
+    return const_cast<Cache*>(this)->find_line(addr);
+  }
   Line& choose_victim(std::uint32_t set);
+  /// Allocate the line holding `addr` over the set's victim; a dirty
+  /// victim sets `result.writeback`.
+  void fill(std::uint32_t addr, bool dirty, AccessResult& result);
+  /// Invalidate one valid line.
+  static Invalidated drop(Line& line);
   std::uint32_t next_random();
 
   CacheConfig config_;
-  CacheStats stats_;
   std::vector<Line> lines_; // sets * ways, row-major by set
   /// Precomputed shift/mask for every set and tag computation (line size
   /// and set count are validated powers of two at construction).

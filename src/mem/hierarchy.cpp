@@ -37,7 +37,7 @@ std::uint32_t MemoryHierarchy::l2_fill(std::uint32_t addr) {
   ++counters_.l2_miss;
   ++counters_.dram_reads;
   std::uint32_t cycles = latency_.l2_hit + latency_.dram_read;
-  if (l2.writeback_addr) {
+  if (l2.writeback) {
     ++counters_.l2_writebacks;
     ++counters_.dram_writes;
     cycles += latency_.dram_write;
@@ -46,28 +46,18 @@ std::uint32_t MemoryHierarchy::l2_fill(std::uint32_t addr) {
 }
 
 std::uint32_t MemoryHierarchy::fetch(std::uint32_t addr) {
-  fetch_memo_.settle(il1_, itlb_);
+  fetch_memo_.disarm();
   std::uint32_t cycles = 0;
   if (!itlb_.access(addr)) {
     ++counters_.itlb_miss;
     cycles += latency_.tlb_walk;
   }
   ++counters_.icache_access;
-  const AccessResult l1 = il1_.read(addr);
-  if (l1.hit) {
-    if (l1.stale_hit) {
-      on_stale_hit("IL1", addr);
-    }
-    return cycles;
-  }
-  ++counters_.icache_miss;
-  cycles += latency_.bus;
-  cycles += l2_fill(addr);
-  return cycles;
+  return cycles + fetch_after_itlb(addr);
 }
 
 std::uint32_t MemoryHierarchy::load(std::uint32_t addr) {
-  load_memo_.settle(dl1_, dtlb_);
+  load_memo_.disarm();
   std::uint32_t cycles = 0;
   if (!dtlb_.access(addr)) {
     ++counters_.dtlb_miss;
@@ -75,23 +65,13 @@ std::uint32_t MemoryHierarchy::load(std::uint32_t addr) {
   }
   ++counters_.dcache_access;
   ++counters_.loads;
-  const AccessResult l1 = dl1_.read(addr);
-  if (l1.hit) {
-    if (l1.stale_hit) {
-      on_stale_hit("DL1", addr);
-    }
-    return cycles;
-  }
-  ++counters_.dcache_miss;
-  cycles += latency_.bus;
-  cycles += l2_fill(addr);
-  return cycles;
+  return cycles + load_after_dtlb(addr);
 }
 
 std::uint32_t MemoryHierarchy::store(std::uint32_t addr,
                                      std::uint64_t current_cycle,
                                      std::uint32_t length) {
-  settle_for_store(addr, length);
+  disarm_for_store(addr, length);
   std::uint32_t cycles = 0;
   il1_.mark_stale(addr, length); // no I/D coherence on SPARC
   if (!dtlb_.access(addr)) {
@@ -110,21 +90,7 @@ std::uint32_t MemoryHierarchy::store(std::uint32_t addr,
   if (store_buffer_free_at_ > now) {
     cycles += static_cast<std::uint32_t>(store_buffer_free_at_ - now);
   }
-  // Drain through the bus into the unified L2 (write-back allocate there).
-  std::uint32_t drain = latency_.store_drain;
-  const AccessResult l2 = l2_.write(addr);
-  if (!l2.hit) {
-    // Allocate-on-write: the L2 fills the line from DRAM while draining.
-    ++counters_.dram_reads;
-    drain += latency_.dram_read;
-    if (l2.writeback_addr) {
-      ++counters_.l2_writebacks;
-      ++counters_.dram_writes;
-      drain += latency_.dram_write;
-    }
-  }
-  store_buffer_free_at_ = current_cycle + cycles + drain;
-  return cycles;
+  return store_after_l2_probe(addr, current_cycle, cycles);
 }
 
 std::uint32_t MemoryHierarchy::fetch_after_itlb(std::uint32_t addr) {
@@ -154,13 +120,14 @@ std::uint32_t MemoryHierarchy::load_after_dtlb(std::uint32_t addr) {
 std::uint32_t MemoryHierarchy::store_after_l2_probe(std::uint32_t addr,
                                                     std::uint64_t current_cycle,
                                                     std::uint32_t cycles) {
+  // Drain through the bus into the unified L2 (write-back allocate there).
   std::uint32_t drain = latency_.store_drain;
   const AccessResult l2 = l2_.write(addr);
   if (!l2.hit) {
     // Allocate-on-write: the L2 fills the line from DRAM while draining.
     ++counters_.dram_reads;
     drain += latency_.dram_read;
-    if (l2.writeback_addr) {
+    if (l2.writeback) {
       ++counters_.l2_writebacks;
       ++counters_.dram_writes;
       drain += latency_.dram_write;
@@ -171,7 +138,7 @@ std::uint32_t MemoryHierarchy::store_after_l2_probe(std::uint32_t addr,
 }
 
 void MemoryHierarchy::flush_l1s() {
-  settle_memos();
+  disarm_memos();
   il1_.invalidate_all();
   dl1_.invalidate_all();
   itlb_.flush();
@@ -180,64 +147,42 @@ void MemoryHierarchy::flush_l1s() {
 }
 
 void MemoryHierarchy::flush_all() {
-  settle_memos();
-  std::vector<std::uint32_t> writebacks;
-  il1_.invalidate_all();
-  dl1_.invalidate_all();
-  l2_.invalidate_all(&writebacks);
-  counters_.l2_writebacks += writebacks.size();
-  counters_.dram_writes += writebacks.size();
-  itlb_.flush();
-  dtlb_.flush();
-  store_buffer_free_at_ = 0;
+  flush_l1s();
+  (void)drain_l2(l2_.invalidate_all());
+}
+
+std::uint32_t MemoryHierarchy::drain_l2(const Invalidated& dropped) {
+  counters_.l2_writebacks += dropped.dirty;
+  counters_.dram_writes += dropped.dirty;
+  return dropped.lines;
 }
 
 std::uint32_t MemoryHierarchy::invalidate_range(std::uint32_t addr,
                                                 std::uint32_t length) {
-  settle_memos();
-  const std::uint64_t before = il1_.stats().invalidations +
-                               dl1_.stats().invalidations +
-                               l2_.stats().invalidations;
-  std::vector<std::uint32_t> writebacks;
-  il1_.invalidate_range(addr, length);
-  dl1_.invalidate_range(addr, length);
-  l2_.invalidate_range(addr, length, &writebacks);
-  counters_.l2_writebacks += writebacks.size();
-  counters_.dram_writes += writebacks.size();
-  const std::uint64_t after = il1_.stats().invalidations +
-                              dl1_.stats().invalidations +
-                              l2_.stats().invalidations;
-  return static_cast<std::uint32_t>(after - before);
+  disarm_memos();
+  const std::uint32_t l1_lines = il1_.invalidate_range(addr, length).lines +
+                                 dl1_.invalidate_range(addr, length).lines;
+  return l1_lines + drain_l2(l2_.invalidate_range(addr, length));
 }
 
 std::uint32_t MemoryHierarchy::invalidate_ranges(
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& ranges) {
-  settle_memos();
-  const std::uint64_t before = il1_.stats().invalidations +
-                               dl1_.stats().invalidations +
-                               l2_.stats().invalidations;
-  std::vector<std::uint32_t> writebacks;
-  il1_.invalidate_ranges(ranges);
-  dl1_.invalidate_ranges(ranges);
-  l2_.invalidate_ranges(ranges, &writebacks);
-  counters_.l2_writebacks += writebacks.size();
-  counters_.dram_writes += writebacks.size();
-  const std::uint64_t after = il1_.stats().invalidations +
-                              dl1_.stats().invalidations +
-                              l2_.stats().invalidations;
-  return static_cast<std::uint32_t>(after - before);
+  disarm_memos();
+  const std::uint32_t l1_lines = il1_.invalidate_ranges(ranges).lines +
+                                 dl1_.invalidate_ranges(ranges).lines;
+  return l1_lines + drain_l2(l2_.invalidate_ranges(ranges));
 }
 
 void MemoryHierarchy::note_memory_written(std::uint32_t addr,
                                           std::uint32_t length) {
-  settle_memos();
+  disarm_memos();
   il1_.mark_stale(addr, length);
   dl1_.mark_stale(addr, length);
   l2_.mark_stale(addr, length);
 }
 
 void MemoryHierarchy::reseed(std::uint64_t seed) {
-  settle_memos();
+  disarm_memos();
   il1_.reseed(seed ^ 0x11U);
   dl1_.reseed(seed ^ 0x22U);
   l2_.reseed(seed ^ 0x33U);

@@ -3,12 +3,15 @@
 //
 // The hierarchy owns tag state and timing; instruction/data *contents* live
 // in GuestMemory and are read/written directly by the VM and the DSR
-// runtime.  Because SPARC v8 provides no hardware coherence between the
-// instruction and data paths, code rewritten in memory leaves stale lines
-// behind; `note_memory_written` marks them and any subsequent hit on a stale
-// line counts as a coherence violation (optionally fatal).  The DSR
-// runtime's SPARC-compliant invalidation routine (Section III.B.1) clears
-// the affected lines, which is exactly what the real routine achieves.
+// runtime.  It also does all the counting: its `PerfCounters` are the
+// timing model's only counters (the caches and TLBs keep tag state only
+// and report each outcome to it).  Because SPARC v8 provides no hardware
+// coherence between the instruction and data paths, code rewritten in
+// memory leaves stale lines behind; `note_memory_written` marks them and
+// any subsequent hit on a stale line counts as a coherence violation
+// (optionally fatal).  The DSR runtime's SPARC-compliant invalidation
+// routine (Section III.B.1) clears the affected lines, which is exactly
+// what the real routine achieves.
 #pragma once
 
 #include "cache.hpp"
@@ -61,17 +64,18 @@ public:
 
   // -------------------------------------------------------------------
   // Inline hit fast paths for the fast VM core.  Cycle-for-cycle and
-  // counter-for-counter identical to fetch/load/store: the common case
-  // (TLB memo hit + clean L1 hit) resolves entirely inline so the
-  // dispatch loop never takes a call; every other case falls through to
-  // the out-of-line continuations, which are the same code the slow
-  // entry points use.  The differential VM suite pins the equivalence.
+  // counter-for-counter identical to fetch/load/store, and they leave the
+  // same resident lines and TLB entries: the common case (TLB memo hit +
+  // clean L1 hit) resolves entirely inline so the dispatch loop never
+  // takes a call; every other case falls through to the out-of-line
+  // continuations, which the slow entry points call too.  The
+  // differential VM suite pins the equivalence.
   //
   // On top of that, a same-line memo: once a fetch (load) resolves as a
   // TLB hit and a clean L1 hit, later fetches (loads) in that L1 line only
-  // count the access and a pending hit.  The pending hits are booked into
-  // the L1 and TLB in one step before anything else reads or changes them
-  // (DESIGN.md §3.4 lists every settle point).
+  // count the access.  They stamp nothing: the memo line and the TLB's MRU
+  // entry already carry their structure's newest stamp.  Anything else
+  // that touches the L1 or TLB first disarms the memo (DESIGN.md §3.4).
   // -------------------------------------------------------------------
 
   std::uint32_t fetch_fast(std::uint32_t addr) {
@@ -79,17 +83,16 @@ public:
     if (fetch_memo_.hit(addr)) [[likely]] {
       return 0;
     }
-    fetch_memo_.settle(il1_, itlb_);
+    fetch_memo_.disarm();
     if (itlb_.access_fast(addr)) [[likely]] {
-      const std::uint32_t slot = il1_.read_hit_fast(addr);
-      if (slot != Cache::kNoSlot) [[likely]] {
-        fetch_memo_.arm(addr, slot);
+      if (il1_.read_hit_fast(addr)) [[likely]] {
+        fetch_memo_.arm(addr);
         return 0;
       }
       return fetch_after_itlb(addr);
     }
     ++counters_.itlb_miss;
-    if (il1_.read_hit_fast(addr) != Cache::kNoSlot) {
+    if (il1_.read_hit_fast(addr)) {
       return latency_.tlb_walk;
     }
     return latency_.tlb_walk + fetch_after_itlb(addr);
@@ -101,17 +104,16 @@ public:
     if (load_memo_.hit(addr)) [[likely]] {
       return 0;
     }
-    load_memo_.settle(dl1_, dtlb_);
+    load_memo_.disarm();
     if (dtlb_.access_fast(addr)) [[likely]] {
-      const std::uint32_t slot = dl1_.read_hit_fast(addr);
-      if (slot != Cache::kNoSlot) [[likely]] {
-        load_memo_.arm(addr, slot);
+      if (dl1_.read_hit_fast(addr)) [[likely]] {
+        load_memo_.arm(addr);
         return 0;
       }
       return load_after_dtlb(addr);
     }
     ++counters_.dtlb_miss;
-    if (dl1_.read_hit_fast(addr) != Cache::kNoSlot) {
+    if (dl1_.read_hit_fast(addr)) {
       return latency_.tlb_walk;
     }
     return latency_.tlb_walk + load_after_dtlb(addr);
@@ -119,7 +121,7 @@ public:
 
   std::uint32_t store_fast(std::uint32_t addr, std::uint64_t current_cycle,
                            std::uint32_t length = 4) {
-    settle_for_store(addr, length);
+    disarm_for_store(addr, length);
     std::uint32_t cycles = 0;
     il1_.mark_stale_fast(addr, length); // no I/D coherence on SPARC
     if (!dtlb_.access_fast(addr)) [[unlikely]] {
@@ -198,63 +200,45 @@ public:
   PerfCounters& counters() noexcept { return counters_; }
   const PerfCounters& counters() const noexcept { return counters_; }
 
-  // Reaching into an L1 or TLB books that side's pending memo hits first,
-  // so the caller sees exactly the state the slow entry points leave.
+  // Reaching into an L1 or TLB disarms that side's memo: the caller may
+  // change what the memo assumes (an invalidation, another access).
   Cache& il1() noexcept {
-    fetch_memo_.settle(il1_, itlb_);
+    fetch_memo_.disarm();
     return il1_;
   }
   Cache& dl1() noexcept {
-    load_memo_.settle(dl1_, dtlb_);
+    load_memo_.disarm();
     return dl1_;
   }
   Cache& l2() noexcept { return l2_; }
   Tlb& itlb() noexcept {
-    fetch_memo_.settle(il1_, itlb_);
+    fetch_memo_.disarm();
     return itlb_;
   }
   Tlb& dtlb() noexcept {
-    load_memo_.settle(dl1_, dtlb_);
+    load_memo_.disarm();
     return dtlb_;
   }
   const LatencyConfig& latency() const noexcept { return latency_; }
 
 private:
   /// The same-line memo of one L1/TLB pair: the L1 line of the last access
-  /// that resolved as a TLB hit plus a clean L1 hit, the line's slot, and
-  /// the hits taken on it since then that are not yet booked.
+  /// that resolved as a TLB hit plus a clean L1 hit, while nothing else has
+  /// touched that L1 or TLB since.
   struct LineMemo {
     static constexpr std::uint64_t kOff = ~std::uint64_t{0};
 
     LineMemo(const Cache& l1, const Tlb& tlb);
 
-    /// One more access to the memo line: counted as pending.
-    bool hit(std::uint32_t addr) {
-      if ((addr >> shift) == line) {
-        ++pending;
-        return true;
-      }
-      return false;
-    }
+    bool hit(std::uint32_t addr) const { return (addr >> shift) == line; }
 
-    void arm(std::uint32_t addr, std::uint32_t l1_slot) {
+    void arm(std::uint32_t addr) {
       if (fits_page) {
         line = addr >> shift;
-        slot = l1_slot;
       }
     }
 
-    /// Book the pending hits (each counter grows by n, each use clock
-    /// advances by n, the line and the TLB's MRU entry carry the final
-    /// stamp) and disarm.
-    void settle(Cache& l1, Tlb& tlb) {
-      if (pending != 0) {
-        tlb.book_mru_hits(pending);
-        l1.book_hits(slot, pending);
-        pending = 0;
-      }
-      line = kOff;
-    }
+    void disarm() { line = kOff; }
 
     /// True if [addr, addr+length) may overlap the memo line.
     bool touches(std::uint32_t addr, std::uint32_t length) const {
@@ -266,9 +250,7 @@ private:
     }
 
     std::uint64_t line = kOff; // addr >> shift of the memo line, or kOff
-    std::uint64_t pending = 0;
-    std::uint32_t slot = 0;  // the line's slot in the L1
-    std::uint32_t shift = 0; // log2 of the L1 line size
+    std::uint32_t shift = 0;   // log2 of the L1 line size
     /// An L1 line lies within one TLB page, so a same-line access is a
     /// same-page access.  Never false on a real configuration.
     bool fits_page = false;
@@ -276,26 +258,31 @@ private:
 
   /// A store moves the DTLB's MRU entry and the DL1's LRU state, and
   /// stales any IL1 line it touches.
-  void settle_for_store(std::uint32_t addr, std::uint32_t length) {
-    load_memo_.settle(dl1_, dtlb_);
+  void disarm_for_store(std::uint32_t addr, std::uint32_t length) {
+    load_memo_.disarm();
     if (fetch_memo_.touches(addr, length)) {
-      fetch_memo_.settle(il1_, itlb_);
+      fetch_memo_.disarm();
     }
   }
-  void settle_memos() {
-    fetch_memo_.settle(il1_, itlb_);
-    load_memo_.settle(dl1_, dtlb_);
+  void disarm_memos() {
+    fetch_memo_.disarm();
+    load_memo_.disarm();
   }
 
   /// Unified-L2 read on the fill path (from an L1 miss).  Returns stall
   /// cycles contributed by the L2 and DRAM.
   std::uint32_t l2_fill(std::uint32_t addr);
 
+  /// Count the dirty lines an L2 invalidation dropped as write-backs to
+  /// DRAM (counted, not timed); returns the lines it dropped.
+  std::uint32_t drain_l2(const Invalidated& dropped);
+
   void on_stale_hit(const char* who, std::uint32_t addr);
 
   // Out-of-line continuations of the inline fast paths: everything after
   // the TLB (fetch/load) or after the L2 write probe (store) when the
-  // inline clean-hit probe declined.
+  // inline clean-hit probe declined.  The slow entry points end in them
+  // too.
   std::uint32_t fetch_after_itlb(std::uint32_t addr);
   std::uint32_t load_after_dtlb(std::uint32_t addr);
   std::uint32_t store_after_l2_probe(std::uint32_t addr,

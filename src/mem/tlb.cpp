@@ -24,7 +24,6 @@ bool Tlb::access(std::uint32_t addr) {
   for (Entry& entry : entries_) {
     if (entry.valid && entry.page == page) {
       entry.last_use = ++use_clock_;
-      ++stats_.hits;
       mru_index_ = static_cast<std::uint32_t>(&entry - entries_.data());
       return true;
     }
@@ -35,7 +34,6 @@ bool Tlb::access(std::uint32_t addr) {
       lru = &entry;
     }
   }
-  ++stats_.misses;
   Entry& victim = free_entry != nullptr ? *free_entry : *lru;
   victim.valid = true;
   victim.page = page;

@@ -5,7 +5,8 @@
 // a "diverse set of pages" precisely so that these TLBs are randomised too
 // (Section III.B.5).  Translation is identity (the case study runs in a
 // single flat address space, as on the bare-metal partition); the TLB only
-// contributes timing: a miss costs a fixed table-walk penalty.
+// contributes timing: a miss costs a fixed table-walk penalty, which the
+// memory hierarchy charges and counts.  The TLB keeps tag state only.
 #pragma once
 
 #include <cstdint>
@@ -16,12 +17,6 @@ namespace proxima::mem {
 struct TlbConfig {
   std::uint32_t entries = 64;
   std::uint32_t page_bytes = 4096;
-};
-
-struct TlbStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  void reset() { *this = TlbStats{}; }
 };
 
 class Tlb {
@@ -37,29 +32,19 @@ public:
 
   /// Inline hit-path probe for the fast VM core: a most-recently-used
   /// memo that resolves the overwhelmingly common same-page access without
-  /// the full associative scan.  Accounting (hit counter, LRU timestamp) is
-  /// identical to `access`, so the two are interchangeable access-for-access
-  /// — the differential VM suite relies on that.
+  /// the full associative scan.  A memo hit needs no LRU stamp: the MRU
+  /// entry already carries the newest one (only `access` stamps, and it
+  /// makes the entry it stamps the MRU), so a further stamp would change
+  /// no replacement decision.  Interchangeable with `access`
+  /// access-for-access; the differential VM suite relies on that.
   bool access_fast(std::uint32_t addr) {
     if (mru_index_ != kNoMru) {
-      Entry& entry = entries_[mru_index_];
+      const Entry& entry = entries_[mru_index_];
       if (entry.valid && entry.page == (addr >> page_shift_)) {
-        entry.last_use = ++use_clock_;
-        ++stats_.hits;
         return true;
       }
     }
     return access(addr);
-  }
-
-  /// Book `n` further hits on the most-recently-used entry: exactly the
-  /// state `n` memo hits of `access_fast` on that entry leave behind.  The
-  /// memory hierarchy's same-line memo defers its hits and books them here
-  /// before anything else touches the TLB.  Requires a live MRU entry.
-  void book_mru_hits(std::uint64_t n) {
-    stats_.hits += n;
-    use_clock_ += n;
-    entries_[mru_index_].last_use = use_clock_;
   }
 
   /// True if the page holding `addr` is resident (no state change).
@@ -68,8 +53,6 @@ public:
   void flush();
 
   const TlbConfig& config() const noexcept { return config_; }
-  const TlbStats& stats() const noexcept { return stats_; }
-  void reset_stats() { stats_.reset(); }
 
 private:
   struct Entry {
@@ -81,7 +64,6 @@ private:
   static constexpr std::uint32_t kNoMru = 0xffff'ffff;
 
   TlbConfig config_;
-  TlbStats stats_;
   std::vector<Entry> entries_;
   std::uint64_t use_clock_ = 0;
   /// Index of the entry touched by the last access.  Only a memo:

@@ -10,6 +10,7 @@ namespace {
 using proxima::mem::AccessResult;
 using proxima::mem::Cache;
 using proxima::mem::CacheConfig;
+using proxima::mem::Invalidated;
 using proxima::mem::Placement;
 using proxima::mem::Replacement;
 using proxima::mem::WritePolicy;
@@ -59,11 +60,10 @@ TEST(Cache, ColdMissThenHit) {
   Cache cache(small_lru_config());
   const AccessResult first = cache.read(0x40);
   EXPECT_FALSE(first.hit);
-  EXPECT_TRUE(first.filled);
+  EXPECT_TRUE(cache.contains(0x40));
   const AccessResult second = cache.read(0x4c); // same 16B line
   EXPECT_TRUE(second.hit);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.invalidate_all().lines, 1u); // one miss filled one line
 }
 
 TEST(Cache, SetIndexModulo) {
@@ -86,7 +86,7 @@ TEST(Cache, LruEvictsOldest) {
   EXPECT_TRUE(cache.contains(0x00));
   EXPECT_FALSE(cache.contains(0x40));
   EXPECT_TRUE(cache.contains(0x80));
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.invalidate_all().lines, 2u); // three fills, one eviction
 }
 
 TEST(Cache, WriteBackSetsDirtyAndWritesBackOnEviction) {
@@ -95,9 +95,10 @@ TEST(Cache, WriteBackSetsDirtyAndWritesBackOnEviction) {
   EXPECT_TRUE(cache.line_dirty(0x00));
   cache.read(0x40);
   const AccessResult evicting = cache.read(0x80); // evicts 0x00 (dirty)
-  ASSERT_TRUE(evicting.writeback_addr.has_value());
-  EXPECT_EQ(*evicting.writeback_addr, 0x00u);
-  EXPECT_EQ(cache.stats().writebacks, 1u);
+  EXPECT_TRUE(evicting.writeback);
+  EXPECT_FALSE(cache.contains(0x00)); // the written-back line was 0x00
+  EXPECT_TRUE(cache.contains(0x40));
+  EXPECT_EQ(cache.invalidate_all().dirty, 0u); // no dirty line left behind
 }
 
 TEST(Cache, WriteThroughNoAllocateDoesNotFillOnMiss) {
@@ -106,15 +107,16 @@ TEST(Cache, WriteThroughNoAllocateDoesNotFillOnMiss) {
   Cache cache(config);
   const AccessResult miss = cache.write(0x00);
   EXPECT_FALSE(miss.hit);
-  EXPECT_FALSE(miss.filled);
+  EXPECT_FALSE(miss.writeback);
   EXPECT_FALSE(cache.contains(0x00));
-  EXPECT_EQ(cache.stats().write_through, 1u);
 
   cache.read(0x00); // fill via read
   const AccessResult hit = cache.write(0x04);
   EXPECT_TRUE(hit.hit);
-  EXPECT_EQ(cache.stats().write_through, 2u); // still forwarded downstream
-  EXPECT_FALSE(cache.line_dirty(0x00));       // write-through: never dirty
+  // Write-through: the line never turns dirty, so nothing is held back
+  // for a later write-back; every write goes downstream as it happens.
+  EXPECT_FALSE(cache.line_dirty(0x00));
+  EXPECT_EQ(cache.invalidate_all().dirty, 0u);
 }
 
 TEST(Cache, DirectMappedConflict) {
@@ -128,14 +130,16 @@ TEST(Cache, DirectMappedConflict) {
   EXPECT_TRUE(cache.contains(0x40));
 }
 
-TEST(Cache, InvalidateLineReturnsDirtyAddress) {
+TEST(Cache, InvalidatingADirtyLineCountsItDirty) {
   Cache cache(small_lru_config());
   cache.write(0x20);
-  const auto wb = cache.invalidate_line(0x24); // same line
-  ASSERT_TRUE(wb.has_value());
-  EXPECT_EQ(*wb, 0x20u);
+  const Invalidated dropped = cache.invalidate_range(0x24, 1); // same line
+  EXPECT_EQ(dropped.lines, 1u);
+  EXPECT_EQ(dropped.dirty, 1u);
   EXPECT_FALSE(cache.contains(0x20));
-  EXPECT_EQ(cache.invalidate_line(0x20), std::nullopt); // already gone
+  const Invalidated again = cache.invalidate_range(0x20, 1); // already gone
+  EXPECT_EQ(again.lines, 0u);
+  EXPECT_EQ(again.dirty, 0u);
 }
 
 TEST(Cache, InvalidateRangeCoversPartialLines) {
@@ -144,20 +148,20 @@ TEST(Cache, InvalidateRangeCoversPartialLines) {
   cache.read(0x10);
   cache.read(0x20);
   // Range [0x08, 0x18) touches lines 0x00 and 0x10 only.
-  cache.invalidate_range(0x08, 0x10);
+  EXPECT_EQ(cache.invalidate_range(0x08, 0x10).lines, 2u);
   EXPECT_FALSE(cache.contains(0x00));
   EXPECT_FALSE(cache.contains(0x10));
   EXPECT_TRUE(cache.contains(0x20));
 }
 
-TEST(Cache, InvalidateAllCollectsWritebacks) {
+TEST(Cache, InvalidateAllCountsWritebacks) {
   Cache cache(small_lru_config());
   cache.write(0x00);
   cache.write(0x10);
   cache.read(0x20);
-  std::vector<std::uint32_t> writebacks;
-  cache.invalidate_all(&writebacks);
-  EXPECT_EQ(writebacks.size(), 2u);
+  const Invalidated dropped = cache.invalidate_all();
+  EXPECT_EQ(dropped.lines, 3u);
+  EXPECT_EQ(dropped.dirty, 2u);
   EXPECT_FALSE(cache.contains(0x00));
   EXPECT_FALSE(cache.contains(0x20));
 }
@@ -169,14 +173,13 @@ TEST(Cache, StaleLineDetection) {
   const AccessResult result = cache.read(0x00);
   EXPECT_TRUE(result.hit);
   EXPECT_TRUE(result.stale_hit);
-  EXPECT_EQ(cache.stats().stale_hits, 1u);
 }
 
 TEST(Cache, StaleClearedByRefill) {
   Cache cache(small_lru_config());
   cache.read(0x00);
   cache.mark_stale(0x00, 16);
-  cache.invalidate_line(0x00);
+  cache.invalidate_range(0x00, 1);
   const AccessResult refill = cache.read(0x00);
   EXPECT_FALSE(refill.hit);
   const AccessResult hit = cache.read(0x00);
@@ -273,14 +276,6 @@ TEST(Cache, RandomReplacementEventuallyEvictsEveryWay) {
   EXPECT_TRUE(evicted_second);
 }
 
-TEST(Cache, StatsResetKeepsContents) {
-  Cache cache(small_lru_config());
-  cache.read(0x00);
-  cache.reset_stats();
-  EXPECT_EQ(cache.stats().misses, 0u);
-  EXPECT_TRUE(cache.contains(0x00));
-}
-
 // Parameterised sweep: miss count equals unique-line count on a cold
 // streaming pass for any geometry (basic sanity across configurations).
 struct GeometryParam {
@@ -301,11 +296,12 @@ TEST_P(CacheGeometrySweep, ColdStreamMissesOncePerLine) {
                           .placement = Placement::kModulo,
                           .write_policy = WritePolicy::kWriteBackAllocate});
   const std::uint32_t span = p.size; // exactly fits: no capacity misses
+  std::uint32_t misses = 0;
   for (std::uint32_t addr = 0; addr < span; addr += 4) {
-    cache.read(addr);
+    misses += cache.read(addr).hit ? 0 : 1;
   }
-  EXPECT_EQ(cache.stats().misses, span / p.line);
-  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(misses, span / p.line);
+  EXPECT_EQ(cache.invalidate_all().lines, span / p.line); // none evicted
 }
 
 INSTANTIATE_TEST_SUITE_P(

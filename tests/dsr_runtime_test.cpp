@@ -371,6 +371,43 @@ TEST(DsrRuntime, StatsAccountForWork) {
   EXPECT_EQ(stats.bytes_copied, code_bytes);
 }
 
+// A code pool over the image would let the first reseed copy code over
+// the measured program or its DSR tables.
+TEST(DsrRuntime, CodePoolOverTheImageRejected) {
+  const LinkedImage image = DsrMachine::make_image(workload_program(), {});
+  ASSERT_LT(image.code_end(), image.data_begin());
+  constexpr std::uint32_t kMiB = 1024 * 1024;
+  const auto expect_rejected = [](alloc::Region pool, const char* section) {
+    RuntimeOptions options;
+    options.code_pool = pool;
+    try {
+      DsrMachine machine(workload_program(), 1, {}, options);
+      ADD_FAILURE() << "pool over the " << section << " accepted";
+    } catch (const proxima::dsr::DsrError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("code pool"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string(section) + " section"),
+                std::string::npos)
+          << what;
+    }
+  };
+  // Starts inside the code.
+  expect_rejected({image.code_begin(), kMiB}, "code");
+  // Ends inside the data's page, below it all clear of the code.
+  expect_rejected({image.data_begin() - kMiB / 2, kMiB / 2 + 4096}, "data");
+  // Ends exactly where the code begins: abutting is fine.
+  RuntimeOptions abutting;
+  abutting.code_pool = {image.code_begin() - kMiB, kMiB};
+  DsrMachine machine(workload_program(), 1, {}, abutting);
+  machine.run();
+  EXPECT_EQ(machine.result(), kExpectedResult);
+  for (const FunctionRecord& record : machine.image.functions()) {
+    const std::uint32_t addr = machine.runtime.function_address(record.id);
+    EXPECT_GE(addr, abutting.code_pool.base) << record.name;
+    EXPECT_LT(addr, image.code_begin()) << record.name;
+  }
+}
+
 TEST(DsrRuntime, MissingMetadataRejected) {
   Program program = workload_program(); // NOT passed through apply_pass
   mem::GuestMemory memory;

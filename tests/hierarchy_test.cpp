@@ -5,11 +5,11 @@
 
 #include <random>
 #include <string>
+#include <vector>
 
 namespace {
 
 using proxima::mem::Cache;
-using proxima::mem::CacheStats;
 using proxima::mem::CoherenceError;
 using proxima::mem::HierarchyConfig;
 using proxima::mem::LatencyConfig;
@@ -19,7 +19,6 @@ using proxima::mem::MemoryHierarchy;
 using proxima::mem::Placement;
 using proxima::mem::Replacement;
 using proxima::mem::Tlb;
-using proxima::mem::TlbStats;
 
 TEST(Leon3Config, MatchesPaperGeometry) {
   const HierarchyConfig config = leon3_hierarchy_config();
@@ -229,33 +228,103 @@ TEST(Hierarchy, HwRandomisedLayoutChangesAcrossSeeds) {
   EXPECT_LT(conflicts, kSeeds / 2);
 }
 
-// Everything two hierarchies count: the PerfCounters and every level's
-// cache and TLB statistics.
-void expect_same_accounting(MemoryHierarchy& fast, MemoryHierarchy& slow,
-                            const std::string& label) {
-  EXPECT_TRUE(fast.counters() == slow.counters()) << label;
+// The memo stamps nothing, so it relies on the line it remembers already
+// holding its L1's newest LRU stamp: the inline probe's hit must stamp it.
+// Fill the four ways of one set, hit the oldest way through the inline
+// probe and then through the memo, and fill a fifth line: the fast side
+// must evict the same way as the slow side (way 1, not the refreshed 0).
+void expect_memo_keeps_lru_order(bool loads) {
+  MemoryHierarchy fast(leon3_hierarchy_config());
+  MemoryHierarchy slow(leon3_hierarchy_config());
+  const std::uint32_t way_bytes = leon3_hierarchy_config().il1.way_bytes();
+  const auto line = [&](std::uint32_t k) {
+    return 0x4000'0000 + k * way_bytes; // all in one set
+  };
+  int step = 0;
+  const auto access = [&](std::uint32_t addr) {
+    if (loads) {
+      ASSERT_EQ(fast.load_fast(addr), slow.load(addr)) << "step " << step;
+    } else {
+      ASSERT_EQ(fast.fetch_fast(addr), slow.fetch(addr)) << "step " << step;
+    }
+    ++step;
+  };
+  for (std::uint32_t k = 0; k < 4; ++k) {
+    access(line(k));
+  }
+  access(line(0));     // the oldest way: an inline probe hit
+  access(line(0) + 4); // the same line: a memo hit
+  access(line(4));     // a fifth line evicts the least recently used way
+  Cache& fast_l1 = loads ? fast.dl1() : fast.il1();
+  Cache& slow_l1 = loads ? slow.dl1() : slow.il1();
+  for (std::uint32_t k = 0; k <= 4; ++k) {
+    EXPECT_EQ(fast_l1.contains(line(k)), slow_l1.contains(line(k)))
+        << "line " << k;
+  }
+  EXPECT_TRUE(slow_l1.contains(line(0)));
+  EXPECT_FALSE(slow_l1.contains(line(1)));
+  EXPECT_TRUE(fast.counters() == slow.counters());
+}
+
+TEST(Hierarchy, FetchMemoKeepsTheLruOrder) {
+  expect_memo_keeps_lru_order(/*loads=*/false);
+}
+
+TEST(Hierarchy, LoadMemoKeepsTheLruOrder) {
+  expect_memo_keeps_lru_order(/*loads=*/true);
+}
+
+struct Span {
+  std::uint32_t base;
+  std::uint32_t bytes;
+};
+
+// Two hierarchies hold the same state over `spans`: the same resident
+// lines at every level, the same dirty L2 lines and the same resident TLB
+// pages.  Then one identical slow sweep of fetches and loads over the
+// spans, which evicts by each structure's LRU order, must cost the same
+// cycles and leave the same PerfCounters on both sides.
+void expect_same_state(MemoryHierarchy& fast, MemoryHierarchy& slow,
+                       const std::vector<Span>& spans,
+                       const std::string& label) {
+  // 16 bytes: no cache line or TLB page in these tests is smaller.
+  constexpr std::uint32_t kStep = 16;
   const auto same_cache = [&](Cache& a, Cache& b, const char* level) {
-    const CacheStats& x = a.stats();
-    const CacheStats& y = b.stats();
-    EXPECT_EQ(x.hits, y.hits) << label << " " << level;
-    EXPECT_EQ(x.misses, y.misses) << label << " " << level;
-    EXPECT_EQ(x.evictions, y.evictions) << label << " " << level;
-    EXPECT_EQ(x.writebacks, y.writebacks) << label << " " << level;
-    EXPECT_EQ(x.write_through, y.write_through) << label << " " << level;
-    EXPECT_EQ(x.stale_hits, y.stale_hits) << label << " " << level;
-    EXPECT_EQ(x.invalidations, y.invalidations) << label << " " << level;
+    for (const Span& span : spans) {
+      for (std::uint32_t addr = span.base; addr - span.base < span.bytes;
+           addr += kStep) {
+        ASSERT_EQ(a.contains(addr), b.contains(addr))
+            << label << " " << level << " 0x" << std::hex << addr;
+        ASSERT_EQ(a.line_dirty(addr), b.line_dirty(addr))
+            << label << " " << level << " 0x" << std::hex << addr;
+      }
+    }
   };
   same_cache(fast.il1(), slow.il1(), "IL1");
   same_cache(fast.dl1(), slow.dl1(), "DL1");
   same_cache(fast.l2(), slow.l2(), "L2");
   const auto same_tlb = [&](Tlb& a, Tlb& b, const char* level) {
-    const TlbStats& x = a.stats();
-    const TlbStats& y = b.stats();
-    EXPECT_EQ(x.hits, y.hits) << label << " " << level;
-    EXPECT_EQ(x.misses, y.misses) << label << " " << level;
+    for (const Span& span : spans) {
+      for (std::uint32_t addr = span.base; addr - span.base < span.bytes;
+           addr += kStep) {
+        ASSERT_EQ(a.contains(addr), b.contains(addr))
+            << label << " " << level << " 0x" << std::hex << addr;
+      }
+    }
   };
   same_tlb(fast.itlb(), slow.itlb(), "ITLB");
   same_tlb(fast.dtlb(), slow.dtlb(), "DTLB");
+  const std::uint32_t line_bytes = fast.l2().config().line_bytes;
+  for (const Span& span : spans) {
+    for (std::uint32_t addr = span.base; addr - span.base < span.bytes;
+         addr += line_bytes) {
+      ASSERT_EQ(fast.fetch(addr), slow.fetch(addr))
+          << label << " sweep fetch 0x" << std::hex << addr;
+      ASSERT_EQ(fast.load(addr), slow.load(addr))
+          << label << " sweep load 0x" << std::hex << addr;
+    }
+  }
+  EXPECT_TRUE(fast.counters() == slow.counters()) << label;
 }
 
 // The fast core's inline entry points (fetch_fast/load_fast/store_fast)
@@ -335,7 +404,12 @@ void expect_inline_paths_match_slow_paths(const HierarchyConfig& config,
           << "seed " << seed << " step " << step;
       now += 1 + fast_cycles;
     }
-    expect_same_accounting(fast, slow, "seed " + std::to_string(seed));
+    // A page of margin each side: range operations and stores into the
+    // code reach a little past the spans.
+    expect_same_state(fast, slow,
+                      {{kCode - 4096, kSpan + 2 * 4096},
+                       {kData - 4096, kSpan + 2 * 4096}},
+                      "seed " + std::to_string(seed));
   }
 }
 
@@ -394,7 +468,8 @@ TEST(Hierarchy, LoadLineTlbEntryStaysLiveAcrossStoresToOtherPages) {
   EXPECT_FALSE(slow.dtlb().contains(other_page(63)));
   load(kP + 32); // another line of P: a DTLB hit
   EXPECT_EQ(slow.counters().dtlb_miss, 128u); // P and the 127 other pages
-  expect_same_accounting(fast, slow, "end");
+  expect_same_state(fast, slow, {{kP, kPage}, {other_page(0), 127 * kPage}},
+                    "end");
 }
 
 } // namespace
