@@ -116,8 +116,7 @@ const char* measured_partition_name(MeasuredTargetKind kind) noexcept;
 ///     the interference pattern varies run to run but stays a pure
 ///     function of the run index — the engine shards hypervisor scenarios
 ///     exactly like bare-platform ones;
-///   * no partition carries a budget: each is granted the rest of its
-///     minor frame;
+///   * each partition is granted the rest of its minor frame;
 ///   * the bare protocol's unmeasured same-layout warm-up of the measured
 ///     program still precedes the schedule, so `hv/control-solo`
 ///     reproduces the bare analysis protocol and the guest scenarios
@@ -215,7 +214,7 @@ struct CampaignConfig {
 
 /// Per-partition activity of one hypervisor run (empty on the bare
 /// platform): every activation's granted cycles in schedule order, plus
-/// the budget violations the health monitor recorded.
+/// the fence overruns the health monitor recorded.
 struct PartitionActivity {
   std::string partition;
   std::vector<double> cycles; // ActivationRecord::cycles_used per activation

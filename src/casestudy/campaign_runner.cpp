@@ -395,9 +395,9 @@ void CampaignRunner::obs_publish_run(const RunSample& sample) {
   sample.counters.for_each([&](const char* name, std::uint64_t value) {
     run_metrics_.add(std::string("mem.") + name, value);
   });
-  // vm.mix.*: per-opcode retirements over the whole run window, warm-up
-  // activation included (it executes under this run's layout and inputs,
-  // so the delta stays a pure function of the run index).
+  // vm.mix.*: per-opcode retirements over the measured window only.  The
+  // bare and hv paths both call obs_rebase_mix() after the warm-up
+  // activation, so the mix sums to mem.instructions.
   for (std::size_t i = 0; i < mix_.size(); ++i) {
     const std::uint64_t delta = mix_[i] - mix_base_[i];
     if (delta != 0) {

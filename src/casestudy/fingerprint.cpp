@@ -96,8 +96,6 @@ std::uint64_t config_fingerprint(const CampaignConfig& config) {
   fold.u64("input_seed", config.input_seed);
   fold.u64("layout_seed", config.layout_seed);
   fold.u64("prng", static_cast<std::uint64_t>(config.prng));
-  fold.boolean("pass.indirect_calls", config.pass_options.indirect_calls);
-  fold.boolean("pass.stack_offsets", config.pass_options.stack_offsets);
   fold.boolean("pass.lazy_stubs", config.pass_options.lazy_stubs);
   fold.u64("dsr.offset_range", config.dsr_options.offset_range);
   fold.u64("dsr.alignment", config.dsr_options.alignment);
@@ -109,8 +107,6 @@ std::uint64_t config_fingerprint(const CampaignConfig& config) {
                config.dsr_options.run_invalidation_routine);
   fold.u64("dsr.code_pool.base", config.dsr_options.code_pool.base);
   fold.u64("dsr.code_pool.size", config.dsr_options.code_pool.size);
-  fold.u64("dsr.lazy_copy_cycles_per_word",
-           config.dsr_options.lazy_copy_cycles_per_word);
   fold.u64("function_order.size", config.function_order.size());
   for (const std::string& name : config.function_order) {
     fold.str("function_order.entry", name);

@@ -26,9 +26,11 @@
 //                       folded as `measured`) overrides it.
 //
 // Every field is folded with a name tag, so adding a field (or reordering
-// the struct) changes the fingerprint only when the fold itself is updated
-// — and forgetting to update it is caught by the store tests' "new config
-// knob must change the fingerprint" convention.
+// the struct) changes the fingerprint only when the fold itself is updated.
+// For `pass_options` and `dsr_options`, `StoreFingerprint.FoldsEveryDsrOption`
+// perturbs every field and stops compiling when one is added; the other
+// fields rely on the store tests' "new config knob must change the
+// fingerprint" convention.
 #pragma once
 
 #include "casestudy/campaign.hpp"

@@ -202,8 +202,8 @@ struct CampaignRunner::HvState {
     // High criticality puts it first within that frame, and that frame's
     // guests follow it: on `hv/control+image-dsr` the image guest evicts
     // the measured code before the next reboot, which is why that
-    // scenario's `dsr.lines_invalidated` reads 0.  No campaign partition
-    // carries a budget: each is granted the rest of its minor frame.
+    // scenario's `dsr.lines_invalidated` reads 0.  Each partition is
+    // granted the rest of its minor frame.
     const std::uint32_t frame_ms = hypervisor.config().minor_frame_ms;
     const std::uint64_t period = std::uint64_t{hv.frames} * frame_ms;
     if (period > std::numeric_limits<std::uint32_t>::max()) {
@@ -256,7 +256,7 @@ void CampaignRunner::hv_build() {
     // Hypervisor on-demand trigger: every granted partition activation
     // (every partition switch the schedule performs) reseeds the measured
     // partition's layout.  The reseed is the hypervisor's own work — host
-    // side, charged to no partition budget; the measured partition picks
+    // side, charged to no partition; the measured partition picks
     // the fresh layout up through entry_address()/its function table.
     hv_->hypervisor.set_activation_hook(
         [this] { (void)runtime_->rerandomise_on_demand(); });
@@ -334,7 +334,7 @@ RunSample CampaignRunner::hv_collect() {
     }
   }
   if (!measured_completed) {
-    fault("measured activation hit the budget fence");
+    fault("measured activation hit the frame-end fence");
   }
 
   for (const std::unique_ptr<HvState::GuestApp>& guest : hv_->guests) {
@@ -346,8 +346,7 @@ RunSample CampaignRunner::hv_collect() {
 
 void CampaignRunner::hv_publish_obs() {
   const rtos::HypervisorConfig& clock = hv_->hypervisor.config();
-  // Campaign partitions carry no budget, so every activation's nominal
-  // grant is the whole minor frame.
+  // Every activation's nominal grant is its whole minor frame.
   const std::uint64_t frame_cycles =
       std::uint64_t{clock.minor_frame_ms} * clock.cycles_per_ms;
   // Timeline spans live on the SIMULATED clock: each measured run replays

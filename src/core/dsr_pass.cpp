@@ -102,27 +102,25 @@ PassReport apply_pass(isa::Program& program, const PassOptions& options) {
     std::vector<Edit> edits;
     std::set<std::size_t> consumed;
 
-    if (options.indirect_calls) {
-      for (std::size_t i = 0; i < function.fixups.size(); ++i) {
-        const isa::Fixup& fixup = function.fixups[i];
-        if (fixup.kind != FixupKind::kCall) {
-          continue;
-        }
-        if (function.code[fixup.index].op != Opcode::kCall) {
-          throw DsrError(function.name + ": call fixup on a non-call");
-        }
-        const auto it = ids.find(fixup.symbol);
-        if (it == ids.end()) {
-          throw DsrError(function.name + ": call to unknown function '" +
-                         fixup.symbol + "'");
-        }
-        edits.push_back(make_call_edit(fixup.index, it->second));
-        consumed.insert(i);
-        ++report.calls_rewritten;
+    for (std::size_t i = 0; i < function.fixups.size(); ++i) {
+      const isa::Fixup& fixup = function.fixups[i];
+      if (fixup.kind != FixupKind::kCall) {
+        continue;
       }
+      if (function.code[fixup.index].op != Opcode::kCall) {
+        throw DsrError(function.name + ": call fixup on a non-call");
+      }
+      const auto it = ids.find(fixup.symbol);
+      if (it == ids.end()) {
+        throw DsrError(function.name + ": call to unknown function '" +
+                       fixup.symbol + "'");
+      }
+      edits.push_back(make_call_edit(fixup.index, it->second));
+      consumed.insert(i);
+      ++report.calls_rewritten;
     }
 
-    if (options.stack_offsets && function.has_prologue) {
+    if (function.has_prologue) {
       if (function.code[function.prologue_index].op != Opcode::kSave) {
         throw DsrError(function.name + ": prologue index is not a SAVE");
       }

@@ -42,11 +42,9 @@ inline constexpr const char* kStackoffSymbol = "__dsr_stackoff";
 /// Name prefix of generated lazy-relocation stubs.
 inline constexpr const char* kStubPrefix = "__dsr_stub_";
 
+/// The pass always rewrites every direct call and every prologue; the one
+/// option is the lazy scheme's stubs.
 struct PassOptions {
-  /// Rewrite direct calls to table-indirect calls (needed for relocation).
-  bool indirect_calls = true;
-  /// Rewrite prologues to apply the random stack offset.
-  bool stack_offsets = true;
   /// Emit lazy-relocation stubs (first-call trap).  Off for the eager
   /// scheme the paper adopted.
   bool lazy_stubs = false;

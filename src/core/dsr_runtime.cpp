@@ -329,10 +329,10 @@ std::uint64_t DsrRuntime::rerandomise_on_demand() {
   flush_table(functab_addr_, staged_functab_);
   flush_invalidations();
   // Guest-visible cost, mirroring the lazy-trap model: the copy loop at
-  // `lazy_copy_cycles_per_word` per word (the invalidation routine rides
+  // `kLazyCopyCyclesPerWord` per word (the invalidation routine rides
   // within it, as in the lazy scheme).
   const std::uint64_t words = (stats_.bytes_copied - bytes_before) / 4;
-  return words * options_.lazy_copy_cycles_per_word;
+  return words * kLazyCopyCyclesPerWord;
 }
 
 std::uint64_t DsrRuntime::handle_lazy_trap(std::uint32_t id) {
@@ -347,7 +347,7 @@ std::uint64_t DsrRuntime::handle_lazy_trap(std::uint32_t id) {
   relocate(id);
   // Charge the on-line cost: copy loop plus the invalidation routine.
   const std::uint64_t words = size / 4;
-  const std::uint64_t cycles = words * options_.lazy_copy_cycles_per_word;
+  const std::uint64_t cycles = words * kLazyCopyCyclesPerWord;
   stats_.lazy_cycles += cycles;
   return cycles;
 }

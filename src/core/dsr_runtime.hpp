@@ -63,9 +63,11 @@ struct RuntimeOptions {
   /// linked image's code and data sections; `DsrRuntime` rejects an
   /// overlap with `DsrError`.
   alloc::Region code_pool{0x4100'0000, 32 * 1024 * 1024};
-  /// Cycle cost per copied word charged to a lazy first-call relocation.
-  std::uint32_t lazy_copy_cycles_per_word = 2;
 };
+
+/// Guest cycles per copied word charged to a lazy first-call relocation
+/// and to an on-demand reseed's copy loop.
+inline constexpr std::uint32_t kLazyCopyCyclesPerWord = 2;
 
 class DsrRuntime {
 public:
@@ -102,7 +104,7 @@ public:
   /// batched invalidation routine as a reboot.  Quarantined chunks are
   /// released (and their lines invalidated) by the next initialise().
   /// Returns the guest cycle charge for the copy loop, mirroring the lazy
-  /// trap cost model (`lazy_copy_cycles_per_word` per copied word).
+  /// trap cost model (`kLazyCopyCyclesPerWord` per copied word).
   std::uint64_t rerandomise_on_demand();
 
   /// Register the lazy-relocation trap handler on a core.

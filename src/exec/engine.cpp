@@ -47,12 +47,10 @@ struct CampaignJob {
   CampaignJob(const casestudy::CampaignConfig& config_in,
               const std::vector<ShardRange>& shards_in,
               casestudy::CampaignResult& result_in, ProgressMeter& meter_in,
-              const SampleSink& sample_sink_in, std::stop_token external_in,
-              RunnerSlots& runners_in,
+              const SampleSink& sample_sink_in, RunnerSlots& runners_in,
               std::vector<WorkerTelemetry>* telemetry_in)
       : config(config_in), shards(shards_in), result(result_in),
-        meter(meter_in), sample_sink(sample_sink_in),
-        external(std::move(external_in)), runners(runners_in),
+        meter(meter_in), sample_sink(sample_sink_in), runners(runners_in),
         telemetry(telemetry_in) {}
 
   const casestudy::CampaignConfig& config;
@@ -60,23 +58,18 @@ struct CampaignJob {
   casestudy::CampaignResult& result;   // times/samples pre-sized
   ProgressMeter& meter;
   const SampleSink& sample_sink;       // persistence; completed shards only
-  const std::stop_token external;      // user cancellation
   RunnerSlots& runners;                // one slot per worker, caller-owned
   std::vector<WorkerTelemetry>* telemetry; // null unless metrics are on
 
   std::atomic<std::size_t> next_shard{0};
-  std::atomic<std::uint64_t> runs_done{0};
   std::atomic<bool> fault{false};      // a worker threw
 
   std::mutex mutex; // guards sample-sink calls and the error slot
   std::exception_ptr error;
 
-  /// Checked before claiming a shard AND before every run: a fault or the
-  /// external token must stop the pool promptly, not after the queue
-  /// drains.
-  bool cancelled() const {
-    return fault.load(std::memory_order_relaxed) || external.stop_requested();
-  }
+  /// Checked before claiming a shard AND before every run: a fault must
+  /// stop the pool promptly, not after the queue drains.
+  bool cancelled() const { return fault.load(std::memory_order_relaxed); }
 };
 
 /// One worker: own platform instance (slot-persistent), chunk-claiming loop.
@@ -140,7 +133,6 @@ void worker_main(CampaignJob& job, unsigned slot) {
         if (capture_metrics) {
           shard_metrics.push_back(runner->last_run_metrics());
         }
-        job.runs_done.fetch_add(1, std::memory_order_relaxed);
         job.meter.add(1);
       }
       if (job.sample_sink) {
@@ -161,17 +153,15 @@ void worker_main(CampaignJob& job, unsigned slot) {
   }
 }
 
-/// Run one shard queue to completion (or cancellation) on `workers`
-/// threads.  Throws the first worker fault, or CampaignCancelled when the
-/// external token stopped the pool before every planned run completed.
+/// Run one shard queue to completion on `workers` threads.  Throws the
+/// first worker fault.
 void execute_shards(const casestudy::CampaignConfig& config,
                     const std::vector<ShardRange>& shards, unsigned workers,
                     casestudy::CampaignResult& result, ProgressMeter& meter,
-                    const SampleSink& sample_sink,
-                    const std::stop_token& external, RunnerSlots& runners,
+                    const SampleSink& sample_sink, RunnerSlots& runners,
                     std::vector<WorkerTelemetry>* telemetry) {
-  CampaignJob job{config,      shards,   result,  meter,
-                  sample_sink, external, runners, telemetry};
+  CampaignJob job{config,      shards,  result,   meter,
+                  sample_sink, runners, telemetry};
   if (workers == 1) {
     worker_main(job, 0); // no thread spawn for the sequential case
   } else {
@@ -186,14 +176,6 @@ void execute_shards(const casestudy::CampaignConfig& config,
   }
   if (job.error) {
     std::rethrow_exception(job.error);
-  }
-  std::uint64_t planned = 0;
-  for (const ShardRange& shard : shards) {
-    planned += shard.size();
-  }
-  if (job.runs_done.load(std::memory_order_relaxed) < planned) {
-    // No worker threw, so the only way to fall short is the external token.
-    throw CampaignCancelled{};
   }
 }
 
@@ -382,8 +364,8 @@ CampaignEngine::grow(const casestudy::CampaignConfig& config,
           batch_timeline != nullptr ? batch_timeline->now_us() : 0.0;
       const auto batch_start = std::chrono::steady_clock::now();
       execute_shards(run_config, batch_plan.shards, batch_plan.workers,
-                     result, meter, options_.sample_sink, options_.stop,
-                     runners, config.collect_metrics ? &telemetry : nullptr);
+                     result, meter, options_.sample_sink, runners,
+                     config.collect_metrics ? &telemetry : nullptr);
       if (batch_timeline != nullptr) {
         batch_timeline->record(
             "engine", "batches",

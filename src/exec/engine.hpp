@@ -18,10 +18,10 @@
 // still running, and a progress callback reports the running
 // completed/total counts.
 //
-// Cancellation is cooperative: workers re-check a stop condition before
-// claiming a shard AND before every run inside a shard, so both a worker
-// fault (internal) and `EngineOptions::stop` (external) halt the pool
-// promptly instead of letting healthy workers drain the remaining queue.
+// A worker fault cancels the campaign: workers re-check a fault flag
+// before claiming a shard AND before every run inside a shard, so the pool
+// stops promptly instead of letting healthy workers drain the remaining
+// queue, and the fault is rethrown.
 #pragma once
 
 #include "casestudy/campaign.hpp"
@@ -33,8 +33,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <stdexcept>
-#include <stop_token>
 
 namespace proxima::exec {
 
@@ -43,9 +41,9 @@ namespace proxima::exec {
 /// plus — when the campaign collects metrics — the per-run metric deltas
 /// each sample contributed (`run_metrics[i]` belongs to run
 /// `range.begin + i`; the span is empty otherwise).  Calls are serialised
-/// by the engine.  A shard interrupted by a fault or cancellation is never
-/// emitted, so everything a sink persists is a valid contiguous record of
-/// the runs it covers — the property that makes resume-from-prefix sound.
+/// by the engine.  A shard interrupted by a fault is never emitted, so
+/// everything a sink persists is a valid contiguous record of the runs it
+/// covers — the property that makes resume-from-prefix sound.
 using SampleSink =
     std::function<void(const ShardRange& range,
                        std::span<const casestudy::RunSample> samples,
@@ -64,26 +62,12 @@ struct StoredPrefix {
   std::span<const std::uint8_t> verified;
 };
 
-/// Thrown by `run`/`run_adaptive` when `EngineOptions::stop` fires before
-/// the campaign completes: a cancelled campaign must never be mistaken for
-/// a complete one.
-struct CampaignCancelled : std::runtime_error {
-  CampaignCancelled()
-      : std::runtime_error("campaign cancelled: stop token fired before "
-                           "every planned run completed") {}
-};
-
 struct EngineOptions {
   /// Worker threads; 0 picks the hardware concurrency.  The effective
   /// count never exceeds the number of planned shards.
   unsigned workers = 0;
   ProgressFn progress;    // optional completed/total callback
   SampleSink sample_sink; // optional streaming persistence (campaign store)
-  /// Optional external cancellation: when the token fires, workers stop at
-  /// the next per-run check and the engine throws `CampaignCancelled`
-  /// (unless the campaign had already completed).  A default-constructed
-  /// token never fires.
-  std::stop_token stop;
 };
 
 class CampaignEngine {

@@ -7,8 +7,7 @@ namespace proxima::mem {
 
 MemoryHierarchy::MemoryHierarchy(HierarchyConfig config)
     : il1_(std::move(config.il1)), dl1_(std::move(config.dl1)),
-      l2_(std::move(config.l2)), itlb_(config.itlb), dtlb_(config.dtlb),
-      latency_(config.latency) {}
+      l2_(std::move(config.l2)), itlb_(config.itlb), dtlb_(config.dtlb) {}
 
 MemoryHierarchy::LineMemo::LineMemo(const Cache& l1, const Tlb& tlb)
     : shift(static_cast<std::uint32_t>(
@@ -32,15 +31,15 @@ std::uint32_t MemoryHierarchy::l2_fill(std::uint32_t addr) {
     if (l2.stale_hit) {
       on_stale_hit("L2", addr);
     }
-    return latency_.l2_hit;
+    return kL2HitCycles;
   }
   ++counters_.l2_miss;
   ++counters_.dram_reads;
-  std::uint32_t cycles = latency_.l2_hit + latency_.dram_read;
+  std::uint32_t cycles = kL2HitCycles + kDramReadCycles;
   if (l2.writeback) {
     ++counters_.l2_writebacks;
     ++counters_.dram_writes;
-    cycles += latency_.dram_write;
+    cycles += kDramWriteCycles;
   }
   return cycles;
 }
@@ -50,7 +49,7 @@ std::uint32_t MemoryHierarchy::fetch(std::uint32_t addr) {
   std::uint32_t cycles = 0;
   if (!itlb_.access(addr)) {
     ++counters_.itlb_miss;
-    cycles += latency_.tlb_walk;
+    cycles += kTlbWalkCycles;
   }
   ++counters_.icache_access;
   return cycles + fetch_after_itlb(addr);
@@ -61,7 +60,7 @@ std::uint32_t MemoryHierarchy::load(std::uint32_t addr) {
   std::uint32_t cycles = 0;
   if (!dtlb_.access(addr)) {
     ++counters_.dtlb_miss;
-    cycles += latency_.tlb_walk;
+    cycles += kTlbWalkCycles;
   }
   ++counters_.dcache_access;
   ++counters_.loads;
@@ -76,7 +75,7 @@ std::uint32_t MemoryHierarchy::store(std::uint32_t addr,
   il1_.mark_stale(addr, length); // no I/D coherence on SPARC
   if (!dtlb_.access(addr)) {
     ++counters_.dtlb_miss;
-    cycles += latency_.tlb_walk;
+    cycles += kTlbWalkCycles;
   }
   ++counters_.dcache_access;
   ++counters_.stores;
@@ -102,7 +101,7 @@ std::uint32_t MemoryHierarchy::fetch_after_itlb(std::uint32_t addr) {
     return 0;
   }
   ++counters_.icache_miss;
-  return latency_.bus + l2_fill(addr);
+  return kBusCycles + l2_fill(addr);
 }
 
 std::uint32_t MemoryHierarchy::load_after_dtlb(std::uint32_t addr) {
@@ -114,23 +113,23 @@ std::uint32_t MemoryHierarchy::load_after_dtlb(std::uint32_t addr) {
     return 0;
   }
   ++counters_.dcache_miss;
-  return latency_.bus + l2_fill(addr);
+  return kBusCycles + l2_fill(addr);
 }
 
 std::uint32_t MemoryHierarchy::store_after_l2_probe(std::uint32_t addr,
                                                     std::uint64_t current_cycle,
                                                     std::uint32_t cycles) {
   // Drain through the bus into the unified L2 (write-back allocate there).
-  std::uint32_t drain = latency_.store_drain;
+  std::uint32_t drain = kStoreDrainCycles;
   const AccessResult l2 = l2_.write(addr);
   if (!l2.hit) {
     // Allocate-on-write: the L2 fills the line from DRAM while draining.
     ++counters_.dram_reads;
-    drain += latency_.dram_read;
+    drain += kDramReadCycles;
     if (l2.writeback) {
       ++counters_.l2_writebacks;
       ++counters_.dram_writes;
-      drain += latency_.dram_write;
+      drain += kDramWriteCycles;
     }
   }
   store_buffer_free_at_ = current_cycle + cycles + drain;

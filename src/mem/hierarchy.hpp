@@ -26,14 +26,12 @@ namespace proxima::mem {
 /// Latency model in cycles.  L1 hit cost is the pipeline's base memory-stage
 /// occupancy and is charged by the VM; the hierarchy returns *additional*
 /// stall cycles only.
-struct LatencyConfig {
-  std::uint32_t l2_hit = 8;       // L1 miss, L2 hit
-  std::uint32_t dram_read = 28;   // L2 miss (line fill from DRAM)
-  std::uint32_t dram_write = 28;  // dirty line write-back drain
-  std::uint32_t bus = 2;          // per L1<->L2 transaction
-  std::uint32_t store_drain = 4;  // write-buffer drain slot (bus + L2 tag)
-  std::uint32_t tlb_walk = 24;    // SRMMU table walk on TLB miss
-};
+inline constexpr std::uint32_t kL2HitCycles = 8;      // L1 miss, L2 hit
+inline constexpr std::uint32_t kDramReadCycles = 28;  // L2 miss: line fill
+inline constexpr std::uint32_t kDramWriteCycles = 28; // dirty write-back drain
+inline constexpr std::uint32_t kBusCycles = 2;        // per L1<->L2 transaction
+inline constexpr std::uint32_t kStoreDrainCycles = 4; // write-buffer drain slot
+inline constexpr std::uint32_t kTlbWalkCycles = 24;   // SRMMU walk on a miss
 
 /// Raised on a stale-line hit when strict coherence checking is enabled.
 class CoherenceError : public std::runtime_error {
@@ -48,7 +46,6 @@ struct HierarchyConfig {
   CacheConfig l2;
   TlbConfig itlb;
   TlbConfig dtlb;
-  LatencyConfig latency;
 };
 
 class MemoryHierarchy {
@@ -93,9 +90,9 @@ public:
     }
     ++counters_.itlb_miss;
     if (il1_.read_hit_fast(addr)) {
-      return latency_.tlb_walk;
+      return kTlbWalkCycles;
     }
-    return latency_.tlb_walk + fetch_after_itlb(addr);
+    return kTlbWalkCycles + fetch_after_itlb(addr);
   }
 
   std::uint32_t load_fast(std::uint32_t addr) {
@@ -114,9 +111,9 @@ public:
     }
     ++counters_.dtlb_miss;
     if (dl1_.read_hit_fast(addr)) {
-      return latency_.tlb_walk;
+      return kTlbWalkCycles;
     }
-    return latency_.tlb_walk + load_after_dtlb(addr);
+    return kTlbWalkCycles + load_after_dtlb(addr);
   }
 
   std::uint32_t store_fast(std::uint32_t addr, std::uint64_t current_cycle,
@@ -126,7 +123,7 @@ public:
     il1_.mark_stale_fast(addr, length); // no I/D coherence on SPARC
     if (!dtlb_.access_fast(addr)) [[unlikely]] {
       ++counters_.dtlb_miss;
-      cycles += latency_.tlb_walk;
+      cycles += kTlbWalkCycles;
     }
     ++counters_.dcache_access;
     ++counters_.stores;
@@ -138,7 +135,7 @@ public:
       cycles += static_cast<std::uint32_t>(store_buffer_free_at_ - now);
     }
     if (l2_.write_hit_fast(addr)) [[likely]] {
-      store_buffer_free_at_ = current_cycle + cycles + latency_.store_drain;
+      store_buffer_free_at_ = current_cycle + cycles + kStoreDrainCycles;
       return cycles;
     }
     return store_after_l2_probe(addr, current_cycle, cycles);
@@ -219,7 +216,6 @@ public:
     load_memo_.disarm();
     return dtlb_;
   }
-  const LatencyConfig& latency() const noexcept { return latency_; }
 
 private:
   /// The same-line memo of one L1/TLB pair: the L1 line of the last access
@@ -294,7 +290,6 @@ private:
   Cache l2_;
   Tlb itlb_;
   Tlb dtlb_;
-  LatencyConfig latency_;
   PerfCounters counters_;
   LineMemo fetch_memo_{il1_, itlb_};
   LineMemo load_memo_{dl1_, dtlb_};

@@ -1,31 +1,9 @@
 #include "hypervisor.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 namespace proxima::rtos {
-
-namespace {
-
-/// Frames of the schedule's hyperperiod (lcm of the per-partition period
-/// frames), capped so pathological period sets cannot make registration
-/// quadratic.  Above the cap the overcommit check falls back to the
-/// conservative all-partitions sum.
-constexpr std::uint64_t kHyperperiodCap = 1 << 16;
-
-std::uint64_t hyperperiod_frames(const std::vector<std::uint64_t>& periods) {
-  std::uint64_t lcm = 1;
-  for (const std::uint64_t period : periods) {
-    lcm = std::lcm(lcm, period);
-    if (lcm > kHyperperiodCap) {
-      return 0; // caller falls back to the conservative check
-    }
-  }
-  return lcm;
-}
-
-} // namespace
 
 Hypervisor::Hypervisor(vm::Vm& cpu, mem::MemoryHierarchy& hierarchy,
                        HypervisorConfig config)
@@ -48,51 +26,6 @@ void Hypervisor::add_partition(const PartitionConfig& partition_config,
     throw std::invalid_argument(
         partition_config.name +
         ": offset must be a multiple of the minor frame below the period");
-  }
-  if (partition_config.budget_ms > config_.minor_frame_ms) {
-    throw std::invalid_argument(partition_config.name +
-                                ": budget exceeds the minor frame");
-  }
-
-  // Overcommit: the explicit budgets of partitions sharing a minor frame
-  // must fit it together, not just individually — otherwise the second
-  // partition's fence silently eats the next partition's (or frame's)
-  // time.  Zero budgets mean "whatever is left" and are excluded; a
-  // consumed frame turns them into recorded violations at run time.
-  std::vector<std::uint64_t> periods;
-  periods.reserve(slots_.size() + 1);
-  for (const Slot& slot : slots_) {
-    periods.push_back(slot.config.period_ms / config_.minor_frame_ms);
-  }
-  periods.push_back(partition_config.period_ms / config_.minor_frame_ms);
-  const std::uint64_t hyperperiod = hyperperiod_frames(periods);
-  const auto active_in = [this](const PartitionConfig& config,
-                                std::uint64_t frame) {
-    return frame % (config.period_ms / config_.minor_frame_ms) ==
-           config.offset_ms / config_.minor_frame_ms;
-  };
-  for (std::uint64_t frame = 0; frame < std::max<std::uint64_t>(hyperperiod, 1);
-       ++frame) {
-    std::uint64_t budget_sum =
-        active_in(partition_config, frame) || hyperperiod == 0
-            ? partition_config.budget_ms
-            : 0;
-    for (const Slot& slot : slots_) {
-      if (hyperperiod == 0 || active_in(slot.config, frame)) {
-        budget_sum += slot.config.budget_ms;
-      }
-    }
-    if (budget_sum > config_.minor_frame_ms) {
-      throw std::invalid_argument(
-          partition_config.name +
-          ": schedule overcommitted — partition budgets sharing a minor "
-          "frame sum to " +
-          std::to_string(budget_sum) + " ms > " +
-          std::to_string(config_.minor_frame_ms) + " ms frame");
-    }
-    if (hyperperiod == 0) {
-      break; // conservative all-partitions sum checked once
-    }
   }
 
   slots_.push_back(Slot{partition_config, &app, slots_.size(), 0});
@@ -128,14 +61,9 @@ std::vector<ActivationRecord> Hypervisor::run_frames(std::uint64_t frames) {
         // cycles.  Fail loudly instead.
         throw std::logic_error("hypervisor: frame accounting underflow");
       }
+      // The fence: the activation may use what its frame has left.
       const std::uint64_t remaining = frame_cycles - used_in_frame;
-      const std::uint64_t budget_cycles = std::min(
-          slot.config.budget_ms != 0
-              ? static_cast<std::uint64_t>(slot.config.budget_ms) *
-                    config_.cycles_per_ms
-              : remaining,
-          remaining);
-      if (budget_cycles == 0) {
+      if (remaining == 0) {
         // The frame is already fully consumed.  cpu_.run(0) would mean
         // "no fence" to the core; record a temporal violation for the
         // denied activation instead — the activation never starts (no
@@ -158,30 +86,21 @@ std::vector<ActivationRecord> Hypervisor::run_frames(std::uint64_t frames) {
         activation_hook_(); // granted activations only; host-side cost
       }
 
-      switch (slot.config.flush_on_start) {
-      case FlushScope::kNone:
-        break;
-      case FlushScope::kL1sAndTlbs:
-        hierarchy_.flush_l1s();
-        break;
-      case FlushScope::kAll:
-        hierarchy_.flush_all();
-        break;
-      }
+      hierarchy_.flush_l1s(); // PikeOS: L1s and TLBs; the L2 stays warm
       slot.app->before_activation(slot.activations);
 
       cpu_.reset(slot.app->entry_address(), slot.app->stack_top());
-      const vm::RunResult result = cpu_.run(budget_cycles);
+      const vm::RunResult result = cpu_.run(remaining);
 
       ActivationRecord record;
       record.partition = slot.config.name;
       record.frame_index = frame_counter_;
       record.activation_index = slot.activations;
       record.start_cycle = frame_start + used_in_frame;
-      // The fence cuts the activation off at the budget: never credit the
-      // partition with cycles the schedule didn't grant (the core may
+      // The fence cuts the activation off at the frame's end: never credit
+      // the partition with cycles the schedule didn't grant (the core may
       // finish the in-flight instruction past the fence).
-      record.cycles_used = std::min(result.cycles, budget_cycles);
+      record.cycles_used = std::min(result.cycles, remaining);
       record.halted = result.stop == vm::RunResult::Stop::kHalt;
       record.overran = result.stop == vm::RunResult::Stop::kCycleBudget;
       if (record.overran) {

@@ -8,9 +8,9 @@
 //   * a static cyclic schedule of partition activations,
 //   * automatic instruction/data cache flushing at partition start ("to
 //     ensure that in each period the partition executions start with the
-//     same initial hardware state"),
+//     same initial hardware state"): the L1s and TLBs, not the L2,
 //   * no preemption during a partition's execution (activations run to
-//     completion within a budget, enforced by a cycle fence),
+//     completion within their minor frame, enforced by a cycle fence),
 //   * software partition reboot between measurement runs ("to guarantee
 //     that each execution starts with a different memory layout").
 #pragma once
@@ -46,11 +46,6 @@ public:
   virtual void reboot() {}
 };
 
-/// What the partition-start cache flush covers.  PikeOS flushes the
-/// instruction and data (L1) caches; the write-back L2 keeps its contents.
-/// kAll is available for experiments needing a fully cold platform.
-enum class FlushScope : std::uint8_t { kNone, kL1sAndTlbs, kAll };
-
 struct PartitionConfig {
   std::string name;
   std::uint32_t period_ms = 100; // activation period (multiple of the frame)
@@ -59,9 +54,7 @@ struct PartitionConfig {
   /// partition at the *end* of its period so the guests' interference
   /// precedes the measured activation.
   std::uint32_t offset_ms = 0;
-  std::uint32_t budget_ms = 0; // 0: the whole minor frame
   Criticality criticality = Criticality::kLow;
-  FlushScope flush_on_start = FlushScope::kL1sAndTlbs;
   /// Measurement protocol: reboot the partition after every activation so
   /// each run starts with a fresh random layout (Section IV).
   bool reboot_after_each_activation = false;
@@ -72,12 +65,12 @@ struct ActivationRecord {
   std::uint64_t frame_index = 0;
   std::uint64_t activation_index = 0; // per-partition counter
   std::uint64_t start_cycle = 0;      // global timeline
-  /// Cycles the schedule actually granted: clamped to the budget fence, so
-  /// per-partition MOET/pWCET never credits time the schedule denied.
+  /// Cycles the schedule actually granted: clamped to the frame-end fence,
+  /// so per-partition MOET/pWCET never credits time the schedule denied.
   std::uint64_t cycles_used = 0;
-  /// Hit the budget fence (temporal violation).  A slot whose frame was
-  /// already fully consumed by earlier partitions is recorded as an
-  /// overrun with cycles_used == 0 — the activation never started.
+  /// Hit the fence (temporal violation).  A slot whose frame was already
+  /// fully consumed by earlier partitions is recorded as an overrun with
+  /// cycles_used == 0 — the activation never started.
   bool overran = false;
   bool halted = true;
 };
@@ -88,7 +81,9 @@ struct HypervisorConfig {
   std::uint64_t cycles_per_ms = 50000;
 };
 
-/// Single-core time-partitioned executive.
+/// Single-core time-partitioned executive.  Each activation is granted
+/// what its minor frame has left: it starts with the L1 and TLB flush and
+/// is fenced at the frame's end.
 class Hypervisor {
 public:
   Hypervisor(vm::Vm& cpu, mem::MemoryHierarchy& hierarchy,
@@ -97,9 +92,6 @@ public:
   /// Register a partition.  Periods must be non-zero multiples of the
   /// minor frame, offsets multiples of the frame below the period.
   /// High-criticality partitions are activated first within a frame.
-  /// Throws std::invalid_argument when the explicit budgets of partitions
-  /// that share any minor frame of the hyperperiod exceed the frame — an
-  /// overcommitted schedule would silently eat the next partition's time.
   void add_partition(const PartitionConfig& config, PartitionApp& app);
 
   /// Run `frames` minor frames of the cyclic schedule and return every
@@ -112,7 +104,7 @@ public:
   /// for every measured run.
   void reset_schedule() noexcept;
 
-  /// Temporal-isolation violations observed so far (budget overruns).
+  /// Temporal-isolation violations observed so far (fence overruns).
   std::uint64_t violations() const noexcept { return violations_; }
 
   /// Registered partition names, in registration order (the stable order
@@ -122,9 +114,9 @@ public:
 
   /// Hook fired once per *granted* activation, before the partition-start
   /// flush and `before_activation` — i.e. at every partition switch the
-  /// schedule actually performs (denied zero-budget activations do not
-  /// fire it).  The kDsrOnDemand arm reseeds the measured layout here; the
-  /// hook's own work is host-side and charged to no partition budget.
+  /// schedule actually performs (an activation denied by a consumed frame
+  /// does not fire it).  The kDsrOnDemand arm reseeds the measured layout
+  /// here; the hook's own work is host-side and charged to no partition.
   void set_activation_hook(std::function<void()> hook) {
     activation_hook_ = std::move(hook);
   }

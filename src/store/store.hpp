@@ -11,7 +11,7 @@
 //      bit-identically to an uninterrupted one at any worker count.
 //   2. A `SampleSink` streams every freshly completed shard back into the
 //      cell, so the next invocation starts where this one ended — whether
-//      it ended by finishing, by fault, or by cancellation (completed
+//      it ended by finishing, by a fault, or by a killed process (completed
 //      shards persist; partial shards never reach the sink).
 //
 // A campaign fully covered by the store executes zero runs: `proxima

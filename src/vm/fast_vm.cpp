@@ -65,11 +65,16 @@ static_assert(handler_order_matches_enum(),
 
 } // namespace
 
-RunResult Vm::run_fast(std::uint64_t cycle_budget) {
+// The dispatch loop's speed depends on where its handlers fall against
+// 64-byte boundaries, so its start is pinned to one: otherwise the size of
+// unrelated code linked before it moves every handler.  On an Intel Xeon
+// vCPU, the same code starting 32 bytes past a boundary ran the
+// control-dsr benchmark about 15% slower.
+[[gnu::aligned(64)]] RunResult Vm::run_fast(std::uint64_t cycle_budget) {
   DecodeCache& decode = *decode_;
   mem::MemoryHierarchy& hier = hierarchy_;
   mem::PerfCounters& ctr = hier.counters();
-  const VmConfig& cfg = config_;
+  const std::uint64_t max_instructions = config_.max_instructions;
   // Instruction-mix telemetry: hoisted so the off case is one never-taken
   // branch on a register, invisible next to the fetch/dispatch work.
   std::uint64_t* const mix = mix_;
@@ -137,7 +142,7 @@ RunResult Vm::run_fast(std::uint64_t cycle_budget) {
     if (condition) {
       pc_ = static_cast<std::uint32_t>(static_cast<std::int64_t>(pc_) +
                                        std::int64_t{4} * disp_words);
-      cycles += cfg.branch_taken_penalty;
+      cycles += kBranchTakenPenalty;
     } else {
       pc_ += 4;
     }
@@ -174,7 +179,7 @@ next_instruction:
     sync();
     return RunResult{RunResult::Stop::kHalt, instructions_, cycles_};
   }
-  if (instructions >= cfg.max_instructions) [[unlikely]] {
+  if (instructions >= max_instructions) [[unlikely]] {
     sync();
     return RunResult{RunResult::Stop::kInstructionLimit, instructions_,
                      cycles_};
@@ -272,7 +277,7 @@ next_instruction:
        static_cast<std::uint32_t>(
            static_cast<std::int64_t>(static_cast<std::int32_t>(rv(op->rs1))) *
            static_cast<std::int32_t>(rv(op->rs2))));
-    cycles += cfg.mul_cycles - 1;
+    cycles += kMulCycles - 1;
     pc_ += 4;
     VM_NEXT();
   }
@@ -284,7 +289,7 @@ next_instruction:
     const auto dividend = static_cast<std::int32_t>(rv(op->rs1));
     const std::int64_t q = static_cast<std::int64_t>(dividend) / divisor;
     wr(op->rd, static_cast<std::uint32_t>(q));
-    cycles += cfg.div_cycles - 1;
+    cycles += kDivCycles - 1;
     pc_ += 4;
     VM_NEXT();
   }
@@ -362,7 +367,7 @@ next_instruction:
        static_cast<std::uint32_t>(
            static_cast<std::int64_t>(static_cast<std::int32_t>(rv(op->rs1))) *
            op->imm));
-    cycles += cfg.mul_cycles - 1;
+    cycles += kMulCycles - 1;
     pc_ += 4;
     VM_NEXT();
   }
@@ -374,7 +379,7 @@ next_instruction:
         static_cast<std::int64_t>(static_cast<std::int32_t>(rv(op->rs1))) /
         op->imm;
     wr(op->rd, static_cast<std::uint32_t>(q));
-    cycles += cfg.div_cycles - 1;
+    cycles += kDivCycles - 1;
     pc_ += 4;
     VM_NEXT();
   }
@@ -414,7 +419,7 @@ next_instruction:
     if (addr % 4 != 0) {
       fault("misaligned word load");
     }
-    cycles += cfg.load_use_cycles + hier.load_fast(addr);
+    cycles += kLoadUseCycles + hier.load_fast(addr);
     wr(op->rd, memory_.read_u32(addr));
     pc_ += 4;
     VM_NEXT();
@@ -424,7 +429,7 @@ next_instruction:
     if (addr % 4 != 0) {
       fault("misaligned word load");
     }
-    cycles += cfg.load_use_cycles + hier.load_fast(addr);
+    cycles += kLoadUseCycles + hier.load_fast(addr);
     wr(op->rd, memory_.read_u32(addr));
     pc_ += 4;
     VM_NEXT();
@@ -451,14 +456,14 @@ next_instruction:
   }
   VM_CASE(kLdb) {
     const std::uint32_t addr = rv(op->rs1) + static_cast<std::uint32_t>(op->imm);
-    cycles += cfg.load_use_cycles + hier.load_fast(addr);
+    cycles += kLoadUseCycles + hier.load_fast(addr);
     wr(op->rd, memory_.read_u8(addr));
     pc_ += 4;
     VM_NEXT();
   }
   VM_CASE(kLdbx) {
     const std::uint32_t addr = rv(op->rs1) + rv(op->rs2);
-    cycles += cfg.load_use_cycles + hier.load_fast(addr);
+    cycles += kLoadUseCycles + hier.load_fast(addr);
     wr(op->rd, memory_.read_u8(addr));
     pc_ += 4;
     VM_NEXT();
@@ -485,7 +490,7 @@ next_instruction:
     if (op->rd % 2 != 0) {
       fault("ldd destination must be an even register");
     }
-    cycles += cfg.load_use_cycles + hier.load_fast(addr);
+    cycles += kLoadUseCycles + hier.load_fast(addr);
     wr(op->rd, memory_.read_u32(addr));
     wr(static_cast<std::uint8_t>(op->rd + 1), memory_.read_u32(addr + 4));
     pc_ += 4;
@@ -499,7 +504,7 @@ next_instruction:
     if (op->rd % 2 != 0) {
       fault("ldd destination must be an even register");
     }
-    cycles += cfg.load_use_cycles + hier.load_fast(addr);
+    cycles += kLoadUseCycles + hier.load_fast(addr);
     wr(op->rd, memory_.read_u32(addr));
     wr(static_cast<std::uint8_t>(op->rd + 1), memory_.read_u32(addr + 4));
     pc_ += 4;
@@ -538,7 +543,7 @@ next_instruction:
     if (addr % 8 != 0) {
       fault("misaligned fp load");
     }
-    cycles += cfg.load_use_cycles + hier.load_fast(addr);
+    cycles += kLoadUseCycles + hier.load_fast(addr);
     set_freg(op->rd, memory_.read_f64(addr));
     pc_ += 4;
     VM_NEXT();
@@ -548,7 +553,7 @@ next_instruction:
     if (addr % 8 != 0) {
       fault("misaligned fp load");
     }
-    cycles += cfg.load_use_cycles + hier.load_fast(addr);
+    cycles += kLoadUseCycles + hier.load_fast(addr);
     set_freg(op->rd, memory_.read_f64(addr));
     pc_ += 4;
     VM_NEXT();
@@ -585,7 +590,7 @@ next_instruction:
         (rv(op->rs1) + static_cast<std::uint32_t>(op->imm)) & ~3U;
     wr(op->rd, pc_);
     pc_ = target;
-    cycles += cfg.branch_taken_penalty;
+    cycles += kBranchTakenPenalty;
     VM_NEXT();
   }
   VM_CASE(kBa) {
@@ -709,7 +714,7 @@ next_instruction:
   VM_CASE(kFaddd) {
     const double a = freg(op->rs1);
     const double b = freg(op->rs2);
-    cycles += cfg.fp_add_cycles - 1 + fp_extra_cycles(Opcode::kFaddd, a, b);
+    cycles += kFpAddCycles - 1 + fp_extra_cycles(Opcode::kFaddd, a, b);
     set_freg(op->rd, a + b);
     pc_ += 4;
     VM_NEXT();
@@ -717,7 +722,7 @@ next_instruction:
   VM_CASE(kFsubd) {
     const double a = freg(op->rs1);
     const double b = freg(op->rs2);
-    cycles += cfg.fp_add_cycles - 1 + fp_extra_cycles(Opcode::kFsubd, a, b);
+    cycles += kFpAddCycles - 1 + fp_extra_cycles(Opcode::kFsubd, a, b);
     set_freg(op->rd, a - b);
     pc_ += 4;
     VM_NEXT();
@@ -725,7 +730,7 @@ next_instruction:
   VM_CASE(kFmuld) {
     const double a = freg(op->rs1);
     const double b = freg(op->rs2);
-    cycles += cfg.fp_mul_cycles - 1 + fp_extra_cycles(Opcode::kFmuld, a, b);
+    cycles += kFpMulCycles - 1 + fp_extra_cycles(Opcode::kFmuld, a, b);
     set_freg(op->rd, a * b);
     pc_ += 4;
     VM_NEXT();
@@ -733,14 +738,14 @@ next_instruction:
   VM_CASE(kFdivd) {
     const double a = freg(op->rs1);
     const double b = freg(op->rs2);
-    cycles += cfg.fp_div_cycles - 1 + fp_extra_cycles(Opcode::kFdivd, a, b);
+    cycles += kFpDivCycles - 1 + fp_extra_cycles(Opcode::kFdivd, a, b);
     set_freg(op->rd, a / b);
     pc_ += 4;
     VM_NEXT();
   }
   VM_CASE(kFsqrtd) {
     const double a = freg(op->rs1);
-    cycles += cfg.fp_sqrt_cycles - 1 + fp_extra_cycles(Opcode::kFsqrtd, a, 1.0);
+    cycles += kFpSqrtCycles - 1 + fp_extra_cycles(Opcode::kFsqrtd, a, 1.0);
     set_freg(op->rd, std::sqrt(a));
     pc_ += 4;
     VM_NEXT();
@@ -748,7 +753,7 @@ next_instruction:
   VM_CASE(kFcmpd) {
     const double a = freg(op->rs1);
     const double b = freg(op->rs2);
-    cycles += cfg.fp_add_cycles - 1;
+    cycles += kFpAddCycles - 1;
     if (std::isnan(a) || std::isnan(b)) {
       fcc_ = FpCondition::kUnordered;
     } else if (a < b) {
@@ -762,14 +767,14 @@ next_instruction:
     VM_NEXT();
   }
   VM_CASE(kFitod) {
-    cycles += cfg.fp_add_cycles - 1;
+    cycles += kFpAddCycles - 1;
     set_freg(op->rd,
              static_cast<double>(static_cast<std::int32_t>(rv(op->rs1))));
     pc_ += 4;
     VM_NEXT();
   }
   VM_CASE(kFdtoi) {
-    cycles += cfg.fp_add_cycles - 1;
+    cycles += kFpAddCycles - 1;
     const double value = freg(op->rs1);
     wr(op->rd, static_cast<std::uint32_t>(static_cast<std::int32_t>(value)));
     pc_ += 4;
@@ -799,7 +804,7 @@ next_instruction:
   }
   VM_CASE(kIpoint) {
     const std::uint32_t id = static_cast<std::uint32_t>(op->imm);
-    cycles += cfg.ipoint_cycles;
+    cycles += kIpointCycles;
     if (ipoint_sink_) {
       sync();
       ipoint_sink_(id, cycles_);
@@ -811,7 +816,7 @@ next_instruction:
   VM_CASE(kFlush) {
     const std::uint32_t addr = rv(op->rs1) + static_cast<std::uint32_t>(op->imm);
     hier.invalidate_range(addr, 1);
-    cycles += cfg.flush_cycles;
+    cycles += kFlushCycles;
     pc_ += 4;
     VM_NEXT();
   }
@@ -822,7 +827,7 @@ next_instruction:
   }
   VM_CASE(kTrapReloc) {
     const std::uint32_t id = static_cast<std::uint32_t>(op->imm);
-    cycles += cfg.trap_cycles;
+    cycles += kTrapCycles;
     if (!reloc_trap_sink_) {
       fault("trapreloc without a registered DSR runtime");
     }

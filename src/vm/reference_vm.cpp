@@ -129,7 +129,7 @@ void Vm::execute(const Instruction& instr) {
             static_cast<std::uint32_t>(
                 static_cast<std::int64_t>(static_cast<std::int32_t>(rs1())) *
                 static_cast<std::int32_t>(rs2())));
-    cycles_ += config_.mul_cycles - 1;
+    cycles_ += kMulCycles - 1;
     break;
   case Opcode::kDiv: {
     const auto divisor = static_cast<std::int32_t>(rs2());
@@ -139,7 +139,7 @@ void Vm::execute(const Instruction& instr) {
     const auto dividend = static_cast<std::int32_t>(rs1());
     const std::int64_t q = static_cast<std::int64_t>(dividend) / divisor;
     set_reg(instr.rd, static_cast<std::uint32_t>(q));
-    cycles_ += config_.div_cycles - 1;
+    cycles_ += kDivCycles - 1;
     break;
   }
   case Opcode::kAddcc: {
@@ -196,7 +196,7 @@ void Vm::execute(const Instruction& instr) {
             static_cast<std::uint32_t>(
                 static_cast<std::int64_t>(static_cast<std::int32_t>(rs1())) *
                 instr.imm));
-    cycles_ += config_.mul_cycles - 1;
+    cycles_ += kMulCycles - 1;
     break;
   case Opcode::kDivi: {
     if (instr.imm == 0) {
@@ -206,7 +206,7 @@ void Vm::execute(const Instruction& instr) {
         static_cast<std::int64_t>(static_cast<std::int32_t>(rs1())) /
         instr.imm;
     set_reg(instr.rd, static_cast<std::uint32_t>(q));
-    cycles_ += config_.div_cycles - 1;
+    cycles_ += kDivCycles - 1;
     break;
   }
   case Opcode::kAddcci: {
@@ -241,7 +241,7 @@ void Vm::execute(const Instruction& instr) {
     if (addr % 4 != 0) {
       fault("misaligned word load");
     }
-    cycles_ += config_.load_use_cycles + hierarchy_.load(addr);
+    cycles_ += kLoadUseCycles + hierarchy_.load(addr);
     set_reg(instr.rd, memory_.read_u32(addr));
     break;
   }
@@ -249,7 +249,7 @@ void Vm::execute(const Instruction& instr) {
   case Opcode::kLdbx: {
     const std::uint32_t addr =
         instr.op == Opcode::kLdb ? rs1() + simm() : rs1() + rs2();
-    cycles_ += config_.load_use_cycles + hierarchy_.load(addr);
+    cycles_ += kLoadUseCycles + hierarchy_.load(addr);
     set_reg(instr.rd, memory_.read_u8(addr));
     break;
   }
@@ -263,7 +263,7 @@ void Vm::execute(const Instruction& instr) {
     if (instr.rd % 2 != 0) {
       fault("ldd destination must be an even register");
     }
-    cycles_ += config_.load_use_cycles + hierarchy_.load(addr);
+    cycles_ += kLoadUseCycles + hierarchy_.load(addr);
     set_reg(instr.rd, memory_.read_u32(addr));
     set_reg(static_cast<std::uint8_t>(instr.rd + 1), memory_.read_u32(addr + 4));
     break;
@@ -310,7 +310,7 @@ void Vm::execute(const Instruction& instr) {
     if (addr % 8 != 0) {
       fault("misaligned fp load");
     }
-    cycles_ += config_.load_use_cycles + hierarchy_.load(addr);
+    cycles_ += kLoadUseCycles + hierarchy_.load(addr);
     set_freg(instr.rd, memory_.read_f64(addr));
     break;
   }
@@ -336,7 +336,7 @@ void Vm::execute(const Instruction& instr) {
     const std::uint32_t target = (rs1() + simm()) & ~3U;
     set_reg(instr.rd, pc_before);
     pc_ = target;
-    cycles_ += config_.branch_taken_penalty;
+    cycles_ += kBranchTakenPenalty;
     advanced = true;
     break;
   }
@@ -443,41 +443,41 @@ void Vm::execute(const Instruction& instr) {
   case Opcode::kFaddd: {
     const double a = freg(instr.rs1);
     const double b = freg(instr.rs2);
-    cycles_ += config_.fp_add_cycles - 1 + fp_extra_cycles(instr.op, a, b);
+    cycles_ += kFpAddCycles - 1 + fp_extra_cycles(instr.op, a, b);
     set_freg(instr.rd, a + b);
     break;
   }
   case Opcode::kFsubd: {
     const double a = freg(instr.rs1);
     const double b = freg(instr.rs2);
-    cycles_ += config_.fp_add_cycles - 1 + fp_extra_cycles(instr.op, a, b);
+    cycles_ += kFpAddCycles - 1 + fp_extra_cycles(instr.op, a, b);
     set_freg(instr.rd, a - b);
     break;
   }
   case Opcode::kFmuld: {
     const double a = freg(instr.rs1);
     const double b = freg(instr.rs2);
-    cycles_ += config_.fp_mul_cycles - 1 + fp_extra_cycles(instr.op, a, b);
+    cycles_ += kFpMulCycles - 1 + fp_extra_cycles(instr.op, a, b);
     set_freg(instr.rd, a * b);
     break;
   }
   case Opcode::kFdivd: {
     const double a = freg(instr.rs1);
     const double b = freg(instr.rs2);
-    cycles_ += config_.fp_div_cycles - 1 + fp_extra_cycles(instr.op, a, b);
+    cycles_ += kFpDivCycles - 1 + fp_extra_cycles(instr.op, a, b);
     set_freg(instr.rd, a / b);
     break;
   }
   case Opcode::kFsqrtd: {
     const double a = freg(instr.rs1);
-    cycles_ += config_.fp_sqrt_cycles - 1 + fp_extra_cycles(instr.op, a, 1.0);
+    cycles_ += kFpSqrtCycles - 1 + fp_extra_cycles(instr.op, a, 1.0);
     set_freg(instr.rd, std::sqrt(a));
     break;
   }
   case Opcode::kFcmpd: {
     const double a = freg(instr.rs1);
     const double b = freg(instr.rs2);
-    cycles_ += config_.fp_add_cycles - 1;
+    cycles_ += kFpAddCycles - 1;
     if (std::isnan(a) || std::isnan(b)) {
       fcc_ = FpCondition::kUnordered;
     } else if (a < b) {
@@ -490,12 +490,12 @@ void Vm::execute(const Instruction& instr) {
     break;
   }
   case Opcode::kFitod:
-    cycles_ += config_.fp_add_cycles - 1;
+    cycles_ += kFpAddCycles - 1;
     set_freg(instr.rd,
              static_cast<double>(static_cast<std::int32_t>(visible_value(instr.rs1))));
     break;
   case Opcode::kFdtoi: {
-    cycles_ += config_.fp_add_cycles - 1;
+    cycles_ += kFpAddCycles - 1;
     const double value = freg(instr.rs1);
     set_reg(instr.rd,
             static_cast<std::uint32_t>(static_cast<std::int32_t>(value)));
@@ -516,7 +516,7 @@ void Vm::execute(const Instruction& instr) {
     set_reg(instr.rd, static_cast<std::uint32_t>(cycles_));
     break;
   case Opcode::kIpoint:
-    cycles_ += config_.ipoint_cycles;
+    cycles_ += kIpointCycles;
     if (ipoint_sink_) {
       ipoint_sink_(static_cast<std::uint32_t>(instr.imm), cycles_);
     }
@@ -524,14 +524,14 @@ void Vm::execute(const Instruction& instr) {
   case Opcode::kFlush: {
     const std::uint32_t addr = rs1() + simm();
     hierarchy_.invalidate_range(addr, 1);
-    cycles_ += config_.flush_cycles;
+    cycles_ += kFlushCycles;
     break;
   }
   case Opcode::kHalt:
     halted_ = true;
     break;
   case Opcode::kTrapReloc:
-    cycles_ += config_.trap_cycles;
+    cycles_ += kTrapCycles;
     if (!reloc_trap_sink_) {
       fault("trapreloc without a registered DSR runtime");
     }

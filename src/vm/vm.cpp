@@ -121,11 +121,11 @@ RunResult Vm::run(std::uint64_t cycle_budget) {
 void Vm::take_branch(std::int32_t disp_words) {
   pc_ = static_cast<std::uint32_t>(static_cast<std::int64_t>(pc_) +
                                    std::int64_t{4} * disp_words);
-  cycles_ += config_.branch_taken_penalty;
+  cycles_ += kBranchTakenPenalty;
 }
 
 std::uint32_t Vm::fp_extra_cycles(Opcode op, double a, double b) const {
-  // Deterministic value-dependent jitter, bounded by fp_jitter_max,
+  // Deterministic value-dependent jitter, bounded by kFpJitterMax,
   // modelling the GRFPU's data-dependent early-outs and normalisation:
   //  * a zero operand takes an early-out (+1)
   //  * denormal operands need extra normalisation passes (+3)
@@ -154,7 +154,7 @@ std::uint32_t Vm::fp_extra_cycles(Opcode op, double a, double b) const {
   } else if (ca == FP_ZERO || cb == FP_ZERO) {
     extra = 1;
   }
-  return extra > config_.fp_jitter_max ? config_.fp_jitter_max : extra;
+  return extra > kFpJitterMax ? kFpJitterMax : extra;
 }
 
 void Vm::spill_oldest_window() {
@@ -168,7 +168,7 @@ void Vm::spill_oldest_window() {
   if (sp % 8 != 0) {
     fault("window spill with misaligned %sp");
   }
-  cycles_ += config_.trap_cycles;
+  cycles_ += kTrapCycles;
   ++hierarchy_.counters().window_overflows;
   // Store %l0-%l7 then %i0-%i7 as eight doubleword stores (as real spill
   // handlers do with std), through the data cache path.
@@ -190,14 +190,14 @@ void Vm::fill_window(std::uint32_t w) {
   if (sp % 8 != 0) {
     fault("window fill with misaligned %sp");
   }
-  cycles_ += config_.trap_cycles;
+  cycles_ += kTrapCycles;
   ++hierarchy_.counters().window_underflows;
   for (std::uint32_t pair = 0; pair < 8; ++pair) {
     const std::uint32_t reg = isa::kL0 + pair * 2;
     const std::uint32_t addr = sp + pair * 8;
     regs_[window_slot(reg, w, n)] = memory_.read_u32(addr);
     regs_[window_slot(reg + 1, w, n)] = memory_.read_u32(addr + 4);
-    cycles_ += 1 + config_.load_use_cycles + hierarchy_.load(addr);
+    cycles_ += 1 + kLoadUseCycles + hierarchy_.load(addr);
   }
   ++resident_;
 }

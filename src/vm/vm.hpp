@@ -57,21 +57,25 @@ enum class VmCore : std::uint8_t {
   kReference,
 };
 
+/// LEON3 pipeline timings in cycles, read alike by both cores.  The
+/// multi-cycle latencies are totals (the one base cycle included); the
+/// rest are added on top of it.
+inline constexpr std::uint32_t kBranchTakenPenalty = 1;
+inline constexpr std::uint32_t kLoadUseCycles = 1; // extra M-stage occupancy
+inline constexpr std::uint32_t kMulCycles = 4;
+inline constexpr std::uint32_t kDivCycles = 16;
+inline constexpr std::uint32_t kFpAddCycles = 4;
+inline constexpr std::uint32_t kFpMulCycles = 4;
+inline constexpr std::uint32_t kFpDivCycles = 16;
+inline constexpr std::uint32_t kFpSqrtCycles = 24;
+inline constexpr std::uint32_t kFpJitterMax = 3;  // paper: up to 3, by value
+inline constexpr std::uint32_t kTrapCycles = 8;   // window spill/fill overhead
+inline constexpr std::uint32_t kIpointCycles = 2; // store to the uncached bank
+inline constexpr std::uint32_t kFlushCycles = 2;
+
 struct VmConfig {
   VmCore core = VmCore::kFast;
   std::uint32_t nwindows = 8; // LEON3: 8 register windows
-  std::uint32_t branch_taken_penalty = 1;
-  std::uint32_t load_use_cycles = 1; // extra M-stage occupancy for loads
-  std::uint32_t mul_cycles = 4;
-  std::uint32_t div_cycles = 16;
-  std::uint32_t fp_add_cycles = 4;
-  std::uint32_t fp_mul_cycles = 4;
-  std::uint32_t fp_div_cycles = 16;
-  std::uint32_t fp_sqrt_cycles = 24;
-  std::uint32_t fp_jitter_max = 3; // paper: up to 3 cycles, value-dependent
-  std::uint32_t trap_cycles = 8;   // window spill/fill entry/exit overhead
-  std::uint32_t ipoint_cycles = 2; // timestamp store to the uncached bank
-  std::uint32_t flush_cycles = 2;
   std::uint64_t max_instructions = 2'000'000'000ULL;
   /// Dynamic taint tracking (vm/taint.hpp): shadow bit per register and
   /// per guest-memory word, maintained identically by both cores.  Purely

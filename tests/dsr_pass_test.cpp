@@ -169,19 +169,6 @@ TEST(DsrPass, DoubleApplicationRejected) {
   EXPECT_THROW(apply_pass(program), DsrError);
 }
 
-TEST(DsrPass, OptionsDisableRewrites) {
-  Program program = call_and_frame_program();
-  PassOptions options;
-  options.indirect_calls = false;
-  options.stack_offsets = false;
-  const PassReport report = apply_pass(program, options);
-  EXPECT_EQ(report.calls_rewritten, 0u);
-  EXPECT_EQ(report.prologues_rewritten, 0u);
-  EXPECT_EQ(program.find_function("main")->code.size(), 4u); // unchanged
-  // Metadata still emitted (runtime contract).
-  EXPECT_NE(program.find_data(kFunctabSymbol), nullptr);
-}
-
 TEST(DsrPass, LazyStubsEmitted) {
   Program program = call_and_frame_program();
   PassOptions options;

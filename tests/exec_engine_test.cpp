@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <mutex>
 #include <set>
-#include <stop_token>
 #include <vector>
 
 namespace {
@@ -257,49 +256,6 @@ TEST(CampaignEngine, FaultInjectionAlsoFaultsSequentialCampaigns) {
   EXPECT_THROW(run_control_campaign(config), std::runtime_error);
   EXPECT_THROW(exec::CampaignEngine(worker_options(1)).run(config),
                std::runtime_error);
-}
-
-TEST(CampaignEngine, ExternalStopTokenCancelsBeforeAnyRun) {
-  std::stop_source source;
-  source.request_stop(); // fired before the campaign starts
-
-  exec::EngineOptions options = worker_options(4);
-  options.stop = source.get_token();
-  std::mutex mutex;
-  std::uint64_t completed = 0;
-  options.progress = [&](std::uint64_t done, std::uint64_t) {
-    std::lock_guard<std::mutex> lock(mutex);
-    completed = std::max(completed, done);
-  };
-  const CampaignConfig config = small_config(Randomisation::kNone, 50);
-  EXPECT_THROW(exec::CampaignEngine(options).run(config),
-               exec::CampaignCancelled);
-  EXPECT_EQ(completed, 0u) << "workers must not claim work after the stop";
-}
-
-TEST(CampaignEngine, ExternalStopTokenCancelsMidCampaign) {
-  std::stop_source source;
-  exec::EngineOptions options = worker_options(2);
-  options.stop = source.get_token();
-  options.progress = [&](std::uint64_t done, std::uint64_t) {
-    if (done >= 3) {
-      source.request_stop();
-    }
-  };
-  const CampaignConfig config = small_config(Randomisation::kNone, 60);
-  EXPECT_THROW(exec::CampaignEngine(options).run(config),
-               exec::CampaignCancelled);
-}
-
-TEST(CampaignEngine, UnfiredStopTokenLeavesResultsIdentical) {
-  const CampaignConfig config = small_config(Randomisation::kDsr, 6);
-  std::stop_source source; // never fired
-  exec::EngineOptions options = worker_options(3);
-  options.stop = source.get_token();
-  const CampaignResult with_token = exec::CampaignEngine(options).run(config);
-  const CampaignResult without =
-      exec::CampaignEngine(worker_options(3)).run(config);
-  expect_identical(with_token, without);
 }
 
 TEST(CampaignEngine, ResolvedWorkersClampsToShards) {

@@ -12,7 +12,10 @@ namespace {
 using proxima::mem::Cache;
 using proxima::mem::CoherenceError;
 using proxima::mem::HierarchyConfig;
-using proxima::mem::LatencyConfig;
+using proxima::mem::kBusCycles;
+using proxima::mem::kDramReadCycles;
+using proxima::mem::kL2HitCycles;
+using proxima::mem::kTlbWalkCycles;
 using proxima::mem::leon3_hierarchy_config;
 using proxima::mem::leon3_hw_randomised_config;
 using proxima::mem::MemoryHierarchy;
@@ -38,10 +41,10 @@ TEST(Leon3Config, MatchesPaperGeometry) {
 
 TEST(Hierarchy, FetchColdCostsDramPlusL2) {
   MemoryHierarchy h(leon3_hierarchy_config());
-  const LatencyConfig& lat = h.latency();
   const std::uint32_t cold = h.fetch(0x40000000);
   // ITLB walk + bus + L2 (miss) + DRAM.
-  EXPECT_EQ(cold, lat.tlb_walk + lat.bus + lat.l2_hit + lat.dram_read);
+  EXPECT_EQ(cold,
+            kTlbWalkCycles + kBusCycles + kL2HitCycles + kDramReadCycles);
   EXPECT_EQ(h.counters().icache_miss, 1u);
   EXPECT_EQ(h.counters().l2_miss, 1u);
   EXPECT_EQ(h.counters().itlb_miss, 1u);
@@ -53,7 +56,6 @@ TEST(Hierarchy, FetchColdCostsDramPlusL2) {
 
 TEST(Hierarchy, FetchL2HitAfterIl1Eviction) {
   MemoryHierarchy h(leon3_hierarchy_config());
-  const LatencyConfig& lat = h.latency();
   h.fetch(0x40000000);
   // Evict the IL1 line by touching 4 conflicting lines (4-way set).
   // IL1 way stride = 4 KiB; L2 way stride = 32 KiB, so +4K..+16K conflict
@@ -64,7 +66,7 @@ TEST(Hierarchy, FetchL2HitAfterIl1Eviction) {
   EXPECT_FALSE(h.il1().contains(0x40000000));
   EXPECT_TRUE(h.l2().contains(0x40000000));
   const std::uint32_t refetch = h.fetch(0x40000000);
-  EXPECT_EQ(refetch, lat.bus + lat.l2_hit); // L2 hit, no DRAM
+  EXPECT_EQ(refetch, kBusCycles + kL2HitCycles); // L2 hit, no DRAM
 }
 
 TEST(Hierarchy, LoadPathCounters) {
@@ -115,8 +117,7 @@ TEST(Hierarchy, UnifiedL2SharedBetweenCodeAndData) {
   // A fetch fills an L2 line; a load of the same line hits L2.
   h.fetch(0x40000000);
   const std::uint32_t load_cost = h.load(0x40000000);
-  const LatencyConfig& lat = h.latency();
-  EXPECT_EQ(load_cost, lat.tlb_walk + lat.bus + lat.l2_hit);
+  EXPECT_EQ(load_cost, kTlbWalkCycles + kBusCycles + kL2HitCycles);
   EXPECT_EQ(h.counters().l2_miss, 1u); // only the initial fetch missed
 }
 
@@ -130,8 +131,7 @@ TEST(Hierarchy, DirectMappedL2ConflictBetweenCodeAndData) {
   h.load(data); // evicts the code line from L2
   h.il1().invalidate_all();
   const std::uint32_t refetch = h.fetch(code); // must go to DRAM again
-  const LatencyConfig& lat = h.latency();
-  EXPECT_EQ(refetch, lat.bus + lat.l2_hit + lat.dram_read);
+  EXPECT_EQ(refetch, kBusCycles + kL2HitCycles + kDramReadCycles);
   EXPECT_EQ(h.counters().l2_miss, 3u);
 }
 
@@ -333,12 +333,17 @@ void expect_same_state(MemoryHierarchy& fast, MemoryHierarchy& slow,
 // mid-run: rewrites behind the caches, the invalidation routine, partition
 // flushes, a direct IL1 invalidation, and guest stores into code.  Code and
 // data each span 96 4-KiB pages, beyond the IL1 size and the 64-page TLB
-// reach, so hits, misses, TLB evictions and stale lines all occur.
+// reach, so hits, misses, TLB evictions and stale lines all occur.  Some
+// fetches and loads revisit a pool of six lines 4 KiB apart, which share
+// one IL1 set and one DL1 set: they re-hit older lines of a full set, so
+// an inline hit that skips its LRU stamp evicts the wrong way.
 void expect_inline_paths_match_slow_paths(const HierarchyConfig& config,
                                           int seeds, int steps) {
   constexpr std::uint32_t kCode = 0x4000'0000;
   constexpr std::uint32_t kData = 0x4020'0000;
   constexpr std::uint32_t kSpan = 96 * 4096;
+  constexpr std::uint32_t kPoolLines = 6;
+  constexpr std::uint32_t kPoolOffset = 0x840; // a set in mid-way
   for (int seed = 0; seed < seeds; ++seed) {
     MemoryHierarchy fast(config);
     MemoryHierarchy slow(config);
@@ -351,6 +356,12 @@ void expect_inline_paths_match_slow_paths(const HierarchyConfig& config,
                           : (addr - base + kSpan + rng() % 4096 - 2048) % kSpan;
       return base + (offset & ~3U);
     };
+    // A word of one of the pool's lines, all in the set of `base +
+    // kPoolOffset`.
+    const auto pool = [&](std::uint32_t base) {
+      const std::uint32_t line = rng() % kPoolLines;
+      return base + kPoolOffset + 4096 * line + 4 * (rng() % 8);
+    };
     std::uint32_t pc = kCode;
     std::uint32_t data = kData;
     std::uint64_t now = 0;
@@ -358,7 +369,15 @@ void expect_inline_paths_match_slow_paths(const HierarchyConfig& config,
       const std::uint32_t draw = rng() % 1000;
       std::uint32_t fast_cycles = 0;
       std::uint32_t slow_cycles = 0;
-      if (draw < 600) {
+      if (draw < 100) {
+        const std::uint32_t addr = pool(kCode);
+        fast_cycles = fast.fetch_fast(addr);
+        slow_cycles = slow.fetch(addr);
+      } else if (draw < 150) {
+        const std::uint32_t addr = pool(kData);
+        fast_cycles = fast.load_fast(addr);
+        slow_cycles = slow.load(addr);
+      } else if (draw < 600) {
         fast_cycles = fast.fetch_fast(pc);
         slow_cycles = slow.fetch(pc);
         pc = rng() % 16 == 0 ? move(pc, kCode) : pc + 4;

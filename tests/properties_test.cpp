@@ -130,12 +130,11 @@ TEST(TimingModel, StraightLineNopsCostBasePlusFetchMisses) {
   TestMachine machine(program);
   machine.run();
 
-  const mem::LatencyConfig& lat = machine.hierarchy.latency();
   const std::uint64_t lines = (65 + 7) / 8 + ((65 % 8) ? 0 : 0);
   const std::uint64_t fetch_stall =
-      lines * (lat.bus + lat.l2_hit + lat.dram_read);
+      lines * (mem::kBusCycles + mem::kL2HitCycles + mem::kDramReadCycles);
   // One ITLB walk for the single code page.
-  const std::uint64_t expected = 65 + fetch_stall + lat.tlb_walk;
+  const std::uint64_t expected = 65 + fetch_stall + mem::kTlbWalkCycles;
   EXPECT_EQ(machine.cpu.cycles(), expected);
   EXPECT_EQ(machine.hierarchy.counters().icache_miss, lines);
 }
@@ -152,14 +151,13 @@ TEST(TimingModel, LoadMissChargesBusL2AndDram) {
   program.entry = "main";
   TestMachine machine(program);
 
-  const mem::LatencyConfig& lat = machine.hierarchy.latency();
   machine.run();
   // Expected: 5 instr base + 1 load_use x2 + code fetch (1 line) +
   // ITLB + DTLB walks + one data miss through L2 to DRAM.
-  const std::uint64_t code_stall = lat.bus + lat.l2_hit + lat.dram_read;
-  const std::uint64_t data_stall = lat.bus + lat.l2_hit + lat.dram_read;
-  const std::uint64_t expected = 5 + 2 * machine.cpu.config().load_use_cycles +
-                                 code_stall + data_stall + 2 * lat.tlb_walk;
+  const std::uint64_t miss_stall =
+      mem::kBusCycles + mem::kL2HitCycles + mem::kDramReadCycles;
+  const std::uint64_t expected = 5 + 2 * vm::kLoadUseCycles + 2 * miss_stall +
+                                 2 * mem::kTlbWalkCycles;
   EXPECT_EQ(machine.cpu.cycles(), expected);
   EXPECT_EQ(machine.hierarchy.counters().dcache_miss, 1u);
 }
@@ -185,15 +183,7 @@ TEST(TimingModel, TakenBranchCostsPenalty) {
   };
   const std::uint64_t not_taken = cycles_for(false);
   const std::uint64_t taken = cycles_for(true);
-  TestMachine probe(([] {
-    Program p;
-    FunctionBuilder fb("main");
-    fb.halt();
-    p.functions.push_back(std::move(fb).build());
-    p.entry = "main";
-    return p;
-  })());
-  EXPECT_EQ(taken - not_taken, probe.cpu.config().branch_taken_penalty);
+  EXPECT_EQ(taken - not_taken, vm::kBranchTakenPenalty);
 }
 
 TEST(TimingModel, MulDivLatenciesExact) {
@@ -212,11 +202,10 @@ TEST(TimingModel, MulDivLatenciesExact) {
     machine.run();
     return machine.cpu.cycles();
   };
-  const vm::VmConfig config;
   EXPECT_EQ(cycles_for(Opcode::kMul, 4) - cycles_for(Opcode::kMul, 0),
-            4 * config.mul_cycles);
+            4 * vm::kMulCycles);
   EXPECT_EQ(cycles_for(Opcode::kDiv, 4) - cycles_for(Opcode::kDiv, 0),
-            4 * config.div_cycles);
+            4 * vm::kDivCycles);
 }
 
 } // namespace

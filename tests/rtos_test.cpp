@@ -90,29 +90,8 @@ TEST(Hypervisor, PeriodsFollowTheCyclicSchedule) {
   EXPECT_EQ(records[1].partition, "processing");
 }
 
-TEST(Hypervisor, FullFlushGivesIdenticalActivations) {
-  test::TestMachine machine(trivial_program(100));
-  CountingApp app(machine, machine.image.entry_addr());
-  Hypervisor hv(machine.cpu, machine.hierarchy, HypervisorConfig{});
-  hv.add_partition(PartitionConfig{.name = "p",
-                                   .period_ms = 100,
-                                   .flush_on_start = rtos::FlushScope::kAll},
-                   app);
-
-  const auto first = hv.run_frames(1);
-  const std::uint64_t first_misses = machine.hierarchy.counters().icache_miss;
-  const auto second = hv.run_frames(1);
-  const std::uint64_t second_misses =
-      machine.hierarchy.counters().icache_miss - first_misses;
-  // Identical cold-start state => identical activation cost and identical
-  // miss counts: "each period the partition executions start with the same
-  // initial hardware state".
-  EXPECT_EQ(first[0].cycles_used, second[0].cycles_used);
-  EXPECT_EQ(first_misses, second_misses);
-}
-
 TEST(Hypervisor, L1FlushKeepsL2Warm) {
-  // The PikeOS default: IL1/DL1/TLBs flushed, L2 retained.  The second
+  // The PikeOS partition-start flush: IL1/DL1/TLBs, not the L2.  The second
   // activation pays the same IL1 cold misses but its refills hit the warm
   // L2, so it is strictly faster.
   test::TestMachine machine(trivial_program(100));
@@ -133,42 +112,27 @@ TEST(Hypervisor, L1FlushKeepsL2Warm) {
   EXPECT_LT(second[0].cycles_used, first[0].cycles_used);
 }
 
-TEST(Hypervisor, WithoutFlushWarmCachesChangeTiming) {
-  test::TestMachine machine(trivial_program(100));
-  CountingApp app(machine, machine.image.entry_addr());
-  Hypervisor hv(machine.cpu, machine.hierarchy, HypervisorConfig{});
-  hv.add_partition(PartitionConfig{.name = "p",
-                                   .period_ms = 100,
-                                   .flush_on_start = rtos::FlushScope::kNone},
-                   app);
-  const auto records = hv.run_frames(2);
-  ASSERT_EQ(records.size(), 2u);
-  // Second activation benefits from a warm IL1: strictly faster.
-  EXPECT_LT(records[1].cycles_used, records[0].cycles_used);
-}
-
-TEST(Hypervisor, BudgetFenceStopsRunawayPartition) {
+TEST(Hypervisor, FrameFenceStopsRunawayPartition) {
   test::TestMachine machine(runaway_program());
   CountingApp app(machine, machine.image.entry_addr());
-  Hypervisor hv(machine.cpu, machine.hierarchy, HypervisorConfig{});
-  hv.add_partition(PartitionConfig{.name = "runaway",
-                                   .period_ms = 100,
-                                   .budget_ms = 10},
-                   app);
+  Hypervisor hv(machine.cpu, machine.hierarchy,
+                HypervisorConfig{.minor_frame_ms = 10});
+  hv.add_partition(PartitionConfig{.name = "runaway", .period_ms = 10}, app);
   const auto records = hv.run_frames(1);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_TRUE(records[0].overran);
   EXPECT_FALSE(records[0].halted);
   EXPECT_EQ(hv.violations(), 1u);
-  // The fence bound the damage to the configured budget.
-  const std::uint64_t budget_cycles = 10ull * hv.config().cycles_per_ms;
-  EXPECT_LE(records[0].cycles_used, budget_cycles + 200);
+  // The fence bound the damage to the minor frame.
+  const std::uint64_t frame_cycles = 10ull * hv.config().cycles_per_ms;
+  EXPECT_LE(records[0].cycles_used, frame_cycles + 200);
 }
 
 TEST(Hypervisor, MalfunctioningLowCritDoesNotStarveControl) {
   // The paper's mixed-criticality concern: "temporal interferences caused
   // by a malfunction in the image processing task could affect the timing
-  // of the high criticality control task" — the budget fence prevents it.
+  // of the high criticality control task" — the frame-end fence prevents
+  // it: the runaway never eats into the next frame.
   test::TestMachine machine(trivial_program(50));
   test::TestMachine runaway_machine(runaway_program());
   CountingApp control(machine, machine.image.entry_addr());
@@ -183,12 +147,10 @@ TEST(Hypervisor, MalfunctioningLowCritDoesNotStarveControl) {
   Hypervisor hv(machine.cpu, machine.hierarchy, HypervisorConfig{});
   hv.add_partition(PartitionConfig{.name = "control",
                                    .period_ms = 100,
-                                   .budget_ms = 20,
                                    .criticality = Criticality::kHigh},
                    control);
   hv.add_partition(PartitionConfig{.name = "processing",
                                    .period_ms = 100,
-                                   .budget_ms = 50,
                                    .criticality = Criticality::kLow},
                    processing);
 
@@ -253,57 +215,24 @@ TEST(Hypervisor, PartitionNamesKeepRegistrationOrder) {
   EXPECT_EQ(records[0].partition, "control") << "high criticality first";
 }
 
-TEST(Hypervisor, RejectsOvercommittedSchedule) {
-  // Regression: budgets were only checked against the frame individually,
-  // so two partitions whose budgets jointly exceed the frame were accepted
-  // and the second silently ate the next frame's time.
-  test::TestMachine machine(trivial_program(1));
-  CountingApp a(machine, machine.image.entry_addr());
-  CountingApp b(machine, machine.image.entry_addr());
-  Hypervisor hv(machine.cpu, machine.hierarchy, HypervisorConfig{});
-  hv.add_partition(PartitionConfig{.name = "a",
-                                   .period_ms = 200,
-                                   .budget_ms = 60},
-                   a);
-  EXPECT_THROW(
-      hv.add_partition(
-          PartitionConfig{.name = "b", .period_ms = 100, .budget_ms = 60}, b),
-      std::invalid_argument)
-      << "co-occurs with 'a' in even frames: 120 ms in a 100 ms frame";
-  // Same budgets in *disjoint* frames of the hyperperiod are fine: the
-  // overcommit check is phase-aware, not a blanket sum.
-  EXPECT_NO_THROW(hv.add_partition(PartitionConfig{.name = "c",
-                                                   .period_ms = 200,
-                                                   .offset_ms = 100,
-                                                   .budget_ms = 60},
-                                   b));
-  // ...and a partition meeting 'c' in odd frames overcommits again.
-  EXPECT_THROW(
-      hv.add_partition(
-          PartitionConfig{.name = "d", .period_ms = 100, .budget_ms = 50}, b),
-      std::invalid_argument);
-}
-
-TEST(Hypervisor, ConsumedFrameZeroBudgetIsARecordedViolation) {
-  // Regression: a budget_ms == 0 slot received frame_cycles -
-  // used_in_frame, which is 0 once the frame is consumed — and
-  // cpu_.run(0) means "no fence" to the core, an unbounded activation.
-  // The denied slot must instead be recorded as a temporal violation
-  // without ever starting.
+TEST(Hypervisor, ConsumedFrameIsARecordedViolation) {
+  // Regression: a slot received frame_cycles - used_in_frame, which is 0
+  // once the frame is consumed — and cpu_.run(0) means "no fence" to the
+  // core, an unbounded activation.  The denied slot must instead be
+  // recorded as a temporal violation without ever starting.
   test::TestMachine machine(runaway_program());
   CountingApp hog(machine, machine.image.entry_addr());
   CountingApp starved(machine, machine.image.entry_addr());
   Hypervisor hv(machine.cpu, machine.hierarchy, HypervisorConfig{});
   hv.add_partition(PartitionConfig{.name = "hog",
                                    .period_ms = 100,
-                                   .budget_ms = 100, // the whole frame
                                    .criticality = Criticality::kHigh},
                    hog);
   hv.add_partition(PartitionConfig{.name = "starved", .period_ms = 100},
                    starved);
   const auto records = hv.run_frames(1);
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_TRUE(records[0].overran) << "the hog hits its own fence";
+  EXPECT_TRUE(records[0].overran) << "the hog runs to the frame's end";
   EXPECT_EQ(records[1].partition, "starved");
   EXPECT_EQ(records[1].cycles_used, 0u);
   EXPECT_TRUE(records[1].overran);
@@ -315,24 +244,23 @@ TEST(Hypervisor, ConsumedFrameZeroBudgetIsARecordedViolation) {
   EXPECT_EQ(records[1].activation_index, 0u);
 }
 
-TEST(Hypervisor, OverrunClampsCyclesUsedToTheBudget) {
+TEST(Hypervisor, OverrunClampsCyclesUsedToTheFrame) {
   // Regression: an overrunning activation stored raw result.cycles, which
   // can exceed the fence — per-partition MOET/pWCET then credits time the
   // schedule never granted.
   test::TestMachine machine(runaway_program());
   CountingApp app(machine, machine.image.entry_addr());
-  Hypervisor hv(machine.cpu, machine.hierarchy, HypervisorConfig{});
-  hv.add_partition(
-      PartitionConfig{.name = "runaway", .period_ms = 100, .budget_ms = 10},
-      app);
+  Hypervisor hv(machine.cpu, machine.hierarchy,
+                HypervisorConfig{.minor_frame_ms = 10});
+  hv.add_partition(PartitionConfig{.name = "runaway", .period_ms = 10}, app);
   const auto records = hv.run_frames(1);
   ASSERT_EQ(records.size(), 1u);
-  const std::uint64_t budget_cycles = 10ull * hv.config().cycles_per_ms;
+  const std::uint64_t frame_cycles = 10ull * hv.config().cycles_per_ms;
   EXPECT_TRUE(records[0].overran);
-  EXPECT_LE(records[0].cycles_used, budget_cycles)
+  EXPECT_LE(records[0].cycles_used, frame_cycles)
       << "the fence must bound the recorded cycles, not just the damage";
-  EXPECT_GT(records[0].cycles_used, budget_cycles - 200)
-      << "the runaway consumed essentially the whole budget";
+  EXPECT_GT(records[0].cycles_used, frame_cycles - 200)
+      << "the runaway consumed essentially the whole frame";
 }
 
 TEST(Hypervisor, OffsetsPhaseActivationsWithinThePeriod) {
@@ -365,15 +293,14 @@ TEST(Hypervisor, OffsetsPhaseActivationsWithinThePeriod) {
 TEST(Hypervisor, ResetScheduleReplaysTheTimeline) {
   test::TestMachine machine(trivial_program(10));
   CountingApp app(machine, machine.image.entry_addr());
-  Hypervisor hv(machine.cpu, machine.hierarchy,
-                HypervisorConfig{});
-  hv.add_partition(PartitionConfig{.name = "p",
-                                   .period_ms = 100,
-                                   .flush_on_start = rtos::FlushScope::kAll},
-                   app);
+  Hypervisor hv(machine.cpu, machine.hierarchy, HypervisorConfig{});
+  hv.add_partition(PartitionConfig{.name = "p", .period_ms = 100}, app);
+  // Both replays start cold, as every hv campaign run does.
+  machine.hierarchy.flush_all();
   const auto first = hv.run_frames(3);
   hv.reset_schedule();
   EXPECT_EQ(hv.violations(), 0u);
+  machine.hierarchy.flush_all();
   const auto second = hv.run_frames(3);
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
@@ -381,7 +308,7 @@ TEST(Hypervisor, ResetScheduleReplaysTheTimeline) {
     EXPECT_EQ(first[i].start_cycle, second[i].start_cycle);
     EXPECT_EQ(first[i].activation_index, second[i].activation_index);
     EXPECT_EQ(first[i].cycles_used, second[i].cycles_used)
-        << "full flush + fresh timeline must replay identically";
+        << "cold start + fresh timeline must replay identically";
   }
 }
 
@@ -395,11 +322,6 @@ TEST(Hypervisor, RejectsBadConfigs) {
   EXPECT_THROW(
       hv.add_partition(PartitionConfig{.name = "y", .period_ms = 150}, app),
       std::invalid_argument);
-  EXPECT_THROW(hv.add_partition(
-                   PartitionConfig{.name = "z", .period_ms = 100,
-                                   .budget_ms = 200},
-                   app),
-               std::invalid_argument);
 }
 
 } // namespace

@@ -367,6 +367,42 @@ TEST(StoreFingerprint, KeysBySampleDeterminingFieldsOnly) {
   EXPECT_EQ(casestudy::config_fingerprint(per_word), fingerprint);
 }
 
+// One entry per settable value of the DSR pass and runtime options.  The
+// structured bindings guard the table: a field added to either struct
+// stops them compiling until it gets an entry here.
+TEST(StoreFingerprint, FoldsEveryDsrOption) {
+  const CampaignConfig base = dsr_config(48);
+  const std::uint64_t fingerprint = casestudy::config_fingerprint(base);
+  CampaignConfig probe = base;
+  auto& [lazy_stubs] = probe.pass_options;
+  auto& [offset_range, alignment, chunk_align, eager, randomise_code,
+         randomise_stack, run_invalidation_routine, batched_relocation,
+         code_pool] = probe.dsr_options;
+  auto& [pool_base, pool_size] = code_pool;
+  // Perturb one value, fingerprint the probe, restore the value.
+  const auto changes_key = [&](auto& value, auto perturbed) {
+    const auto saved = value;
+    value = perturbed;
+    const bool changed = casestudy::config_fingerprint(probe) != fingerprint;
+    value = saved;
+    return changed;
+  };
+  EXPECT_TRUE(changes_key(lazy_stubs, !lazy_stubs));
+  EXPECT_TRUE(changes_key(offset_range, offset_range / 2));
+  EXPECT_TRUE(changes_key(alignment, alignment * 2));
+  EXPECT_TRUE(changes_key(chunk_align, chunk_align * 2));
+  EXPECT_TRUE(changes_key(eager, !eager));
+  EXPECT_TRUE(changes_key(randomise_code, !randomise_code));
+  EXPECT_TRUE(changes_key(randomise_stack, !randomise_stack));
+  EXPECT_TRUE(
+      changes_key(run_invalidation_routine, !run_invalidation_routine));
+  EXPECT_TRUE(changes_key(pool_base, pool_base + 0x10'0000));
+  EXPECT_TRUE(changes_key(pool_size, pool_size / 2));
+  // The documented exclusion: the batched and per-word reseed paths are
+  // bit-identical (dsr_rerandomise_test), so either may fill a cell.
+  EXPECT_FALSE(changes_key(batched_relocation, !batched_relocation));
+}
+
 TEST(StoreFingerprint, TaintOffCellDoesNotServeATaintOnCampaign) {
   // A taint-off cell carries no leak.* metrics: serving it to a taint-on
   // campaign would drop them without a word.

@@ -412,7 +412,7 @@ TEST(VmFp, ValueDependentJitter) {
   const std::uint64_t normal = run_with(1.25);
   const std::uint64_t denormal = run_with(4.9e-324);
   EXPECT_GT(denormal, normal);
-  EXPECT_LE(denormal, normal + 50 * 3); // bounded by fp_jitter_max
+  EXPECT_LE(denormal, normal + 50 * proxima::vm::kFpJitterMax);
 }
 
 TEST(VmPlatform, RdtickMonotonic) {
