@@ -201,6 +201,9 @@ constexpr LockedGuests kLockedGuests[] = {
     {"hv/control+stress", "0x202e9210e0051286", 132, 28639296.0},
     {"hv/image+control", "0x7f5d09ce88e2e216", 132, 44433547.0},
     {"leak/observer-hv", "0xaf0b30d33bbc453c", 132, 27836421.0},
+    // DSR under the hypervisor with a reseed at every partition switch:
+    // the dsr.* family beside the partition telemetry.
+    {"hv/control+image-ondemand", "0xb5ce9b150aa25c31", 132, 129951287.0},
 };
 
 TEST(HvScenarios, GuestPartitionsAreLocked) {

@@ -141,6 +141,11 @@ constexpr LockedInputPath kInputPathsDefaultSeeds30[] = {
     {"image/analysis-dsr", false, "0x1291ac53b7bc92c0", 0},
     // taint sinks from the task's observable symbols
     {"leak/beacon-dsr", true, "0x7925e64205c051b8", 0},
+    // mid-run reseeds; the arm forces taint tracking on, yet publishes no
+    // leak.* family because the campaign did not ask for it
+    {"leak/beacon-ondemand", false, "0x1ca834ab1b00e085", 0},
+    // lazy relocation: the only scenario with nonzero dsr.lazy_*
+    {"control/dsr-lazy", false, "0xaf910bdd59de7ac4", 4},
 };
 
 CampaignConfig scenario(const std::string& name, std::uint32_t runs) {

@@ -199,6 +199,36 @@ TEST(StoreRerender, SecondInvocationSimulatesNothing) {
   expect_identical_campaigns(second, first);
 }
 
+// Every metric family a warm cell has to give back: the hv partition
+// telemetry of hv/control+image, and the leak.* family (counters and the
+// sink-bits histogram) with the dsr.* family of leak/beacon-dsr.
+TEST(StoreRerender, HvAndTaintCampaignsRerenderLikeALiveRun) {
+  const struct {
+    const char* scenario;
+    bool taint;
+  } cases[] = {{"hv/control+image", false}, {"leak/beacon-dsr", true}};
+  for (const auto& test_case : cases) {
+    SCOPED_TRACE(test_case.scenario);
+    CampaignConfig config = exec::ScenarioRegistry::global()
+                                .at(test_case.scenario)
+                                .make_config(12);
+    config.collect_metrics = true;
+    config.taint = test_case.taint;
+    const CampaignResult live =
+        exec::CampaignEngine(worker_options(3)).run(config);
+    TempStore root("rerender_families");
+    const store::CampaignStore store(root.path());
+    store.run(test_case.scenario, config, worker_options(2));
+    store::StoreStats warm;
+    const CampaignResult rerendered =
+        store.run(test_case.scenario, config, worker_options(1), &warm);
+    EXPECT_EQ(warm.simulated_runs, 0u);
+    expect_identical_campaigns(rerendered, live);
+    EXPECT_EQ(rerendered.metrics.counters, live.metrics.counters);
+    EXPECT_EQ(rerendered.metrics.histograms, live.metrics.histograms);
+  }
+}
+
 TEST(StoreRerender, AdaptiveRerenderReplaysTheSameStopDecision) {
   const CampaignConfig config = dsr_config(160);
   const exec::ConvergenceOptions convergence = loose_convergence(40, 160);
