@@ -258,6 +258,20 @@ struct CampaignResult {
 /// across workers with bit-identical `times`/`samples`.
 CampaignResult run_control_campaign(const CampaignConfig& config);
 
+/// A campaign's metrics registry, named once when the campaign ends: the
+/// families its samples hold (`runs`, `runs.corrupt_input`,
+/// `time.uoa_cycles`, `mem.*`, the hv `hv.<partition>.*` family), plus
+/// `records`, the slot-by-slot sum of every run's record.  Presence is
+/// what publishing each run by name would give: nothing without a run,
+/// `runs.corrupt_input` and `hv.<partition>.overruns` only when nonzero,
+/// `mem.*` always; of the record's families, dsr.* whenever a DSR runtime
+/// exists and leak.* whenever `config.taint` is set (obs::name_slots has
+/// the rest).  Throws std::invalid_argument when the samples do not all
+/// list the same number of partitions.
+obs::MetricsSnapshot campaign_metrics(const CampaignConfig& config,
+                                      std::span<const RunSample> samples,
+                                      const obs::MetricsShard& records);
+
 /// Flatten a hypervisor campaign's per-run partition activity into
 /// per-partition series (registration order preserved) ready for
 /// `trace::PartitionReport::build`.  Empty for bare-platform campaigns.

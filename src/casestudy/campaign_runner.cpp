@@ -5,7 +5,7 @@
 #include "rng/lfsr.hpp"
 #include "rng/mwc.hpp"
 
-#include <iterator>
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -91,14 +91,6 @@ CampaignRunner::CampaignRunner(const CampaignConfig& config)
     // running activation's cycle count.
     cpu_.set_sink_store_sink(
         [this](std::uint32_t) { return runtime_->rerandomise_on_demand(); });
-  }
-  if (config_.collect_metrics) {
-    // Instruction-mix telemetry: the VM's hook stays null (and the fast
-    // dispatch loop's mix branch never taken) unless metrics are on.
-    const auto opcodes = static_cast<std::size_t>(isa::Opcode::kOpcodeCount);
-    mix_.assign(opcodes, 0);
-    mix_base_.assign(opcodes, 0);
-    cpu_.set_mix_counters(mix_.data());
   }
   configure_taint_ranges();
   if (config_.hypervisor) {
@@ -307,7 +299,7 @@ RunSample CampaignRunner::collect() {
   }
   if (hv_) {
     RunSample sample = hv_collect();
-    obs_publish_run(sample);
+    obs_publish_run();
     return sample;
   }
   // Extract the UoA time + counters (one invocation: the warm-up's trace
@@ -324,7 +316,7 @@ RunSample CampaignRunner::collect() {
 
   // Functional verification against the host golden model.
   verify_measured();
-  obs_publish_run(sample);
+  obs_publish_run();
   return sample;
 }
 
@@ -332,8 +324,10 @@ void CampaignRunner::obs_begin_run() {
   if (!config_.collect_metrics) {
     return;
   }
-  run_metrics_ = obs::MetricsShard{};
-  mix_base_ = mix_;
+  // The mix counts only the measured window: the VM's hook stays null
+  // until obs_rebase_mix (and, with metrics off, for good — the fast
+  // dispatch loop's mix branch is then never taken).
+  cpu_.set_mix_counters(nullptr);
   if (runtime_) {
     dsr_base_ = runtime_->stats();
   }
@@ -342,10 +336,12 @@ void CampaignRunner::obs_begin_run() {
 }
 
 void CampaignRunner::obs_rebase_mix() {
-  if (!mix_.empty()) {
-    mix_base_ = mix_;
+  if (!config_.collect_metrics) {
+    return;
   }
-  if (config_.collect_metrics && config_.taint) {
+  std::fill_n(run_metrics_.values.begin(), obs::MetricsShard::kMixSlots, 0);
+  cpu_.set_mix_counters(run_metrics_.values.data());
+  if (config_.taint) {
     // Like vm.mix.*: the warm-up activation's taint events stay out of the
     // published leak.* window (shadow *state* persists — the warm-up runs
     // under this run's layout, so the final sink walk is unaffected).
@@ -353,109 +349,60 @@ void CampaignRunner::obs_rebase_mix() {
   }
 }
 
-namespace {
-
-/// X-macro token of a dense handler/opcode index, with the "k" prefix
-/// stripped: kAddi -> "Addi".  Display names (opcode_info) collide across
-/// R/I forms ("add" twice), so metric names use the enum spelling.
-const char* opcode_token(std::size_t handler) {
-  static constexpr const char* kTokens[] = {
-#define PROXIMA_OBS_OPCODE_TOKEN(op) (#op) + 1,
-      PROXIMA_VM_FOREACH_OPCODE(PROXIMA_OBS_OPCODE_TOKEN)
-#undef PROXIMA_OBS_OPCODE_TOKEN
-  };
-  static_assert(std::size(kTokens) ==
-                static_cast<std::size_t>(isa::Opcode::kOpcodeCount));
-  return kTokens[handler];
-}
-
-} // namespace
-
-void CampaignRunner::obs_publish_run(const RunSample& sample) {
-  if (hv_ && (config_.collect_metrics || config_.timeline != nullptr)) {
-    hv_publish_obs();
+void CampaignRunner::obs_publish_run() {
+  if (hv_ && config_.timeline != nullptr) {
+    hv_record_timeline();
   }
   if (!config_.collect_metrics) {
     return;
   }
-  // Publish into the per-run scratch shard, then fold it into the
-  // cumulative shard: merge_from is a commutative sum/fold, so the
-  // cumulative totals are exactly what direct accumulation produced, and
-  // the per-run delta stays available for the campaign store.
-  run_metrics_.add("runs", 1);
-  if (sample.corrupt_input) {
-    run_metrics_.add("runs.corrupt_input", 1);
-  }
-  // UoA cycle counts are integers carried in doubles: exact as u64.
-  run_metrics_.record("time.uoa_cycles",
-                      static_cast<std::uint64_t>(sample.uoa_cycles));
-  // mem.*: the sample's hierarchy counters are already a per-run window
-  // (execute() resets them after the warm-up activation; hv runs cover
-  // the whole schedule).
-  sample.counters.for_each([&](const char* name, std::uint64_t value) {
-    run_metrics_.add(std::string("mem.") + name, value);
-  });
-  // vm.mix.*: per-opcode retirements over the measured window only.  The
-  // bare and hv paths both call obs_rebase_mix() after the warm-up
-  // activation, so the mix sums to mem.instructions.
-  for (std::size_t i = 0; i < mix_.size(); ++i) {
-    const std::uint64_t delta = mix_[i] - mix_base_[i];
-    if (delta != 0) {
-      run_metrics_.add(std::string("vm.mix.") + opcode_token(i), delta);
-    }
-  }
+  // The record's mix slots already hold this run's measured window; every
+  // other slot is written here, then the record is summed into the
+  // runner's.  What the sample holds is named from the samples when the
+  // campaign ends (casestudy::campaign_metrics).
+  using Shard = obs::MetricsShard;
+  std::uint64_t* const slot = run_metrics_.values.data();
   if (runtime_) {
     const dsr::DsrRuntime::Stats now = runtime_->stats();
-    run_metrics_.add("dsr.reseeds", now.reseeds - dsr_base_.reseeds);
-    run_metrics_.add("dsr.ondemand_reseeds",
-                     now.ondemand_reseeds - dsr_base_.ondemand_reseeds);
-    run_metrics_.add("dsr.relocations",
-                     now.relocations - dsr_base_.relocations);
-    run_metrics_.add("dsr.bytes_copied",
-                     now.bytes_copied - dsr_base_.bytes_copied);
-    run_metrics_.add("dsr.lazy_traps", now.lazy_traps - dsr_base_.lazy_traps);
-    run_metrics_.add("dsr.lazy_cycles",
-                     now.lazy_cycles - dsr_base_.lazy_cycles);
-    // Invalidated-line counts depend on the platform state the PREVIOUS
-    // run on this runner left behind (first run of a shard has no live
-    // chunks to release), so they are worker-count-dependent: gauge class.
-    run_metrics_.add_gauge("dsr.lines_invalidated",
-                           static_cast<double>(now.lines_invalidated -
-                                               dsr_base_.lines_invalidated));
+    slot[Shard::kDsrReseeds] = now.reseeds - dsr_base_.reseeds;
+    slot[Shard::kDsrOndemandReseeds] =
+        now.ondemand_reseeds - dsr_base_.ondemand_reseeds;
+    slot[Shard::kDsrRelocations] = now.relocations - dsr_base_.relocations;
+    slot[Shard::kDsrBytesCopied] = now.bytes_copied - dsr_base_.bytes_copied;
+    slot[Shard::kDsrLazyTraps] = now.lazy_traps - dsr_base_.lazy_traps;
+    slot[Shard::kDsrLazyCycles] = now.lazy_cycles - dsr_base_.lazy_cycles;
+    // The first run of a shard has no live chunks to release: gauge class.
+    slot[Shard::kDsrLinesInvalidated] =
+        now.lines_invalidated - dsr_base_.lines_invalidated;
   }
   // vm.decode.*: decode-cache activity persists across the runs one
   // runner executes (a different sharding decodes differently), so the
   // whole family is gauge-class — see DecodeCache::Stats.
   const vm::DecodeCache::Stats decode_now = cpu_.decode_stats();
-  run_metrics_.add_gauge(
-      "vm.decode.decodes",
-      static_cast<double>(decode_now.decodes - decode_base_.decodes));
-  run_metrics_.add_gauge(
-      "vm.decode.write_invalidation_events",
-      static_cast<double>(decode_now.write_invalidation_events -
-                          decode_base_.write_invalidation_events));
-  run_metrics_.add_gauge("vm.decode.invalidated_slots",
-                         static_cast<double>(decode_now.invalidated_slots -
-                                             decode_base_.invalidated_slots));
-  run_metrics_.add_gauge(
-      "vm.decode.full_invalidations",
-      static_cast<double>(decode_now.full_invalidations -
-                          decode_base_.full_invalidations));
+  slot[Shard::kDecodeDecodes] = decode_now.decodes - decode_base_.decodes;
+  slot[Shard::kDecodeWriteInvalidationEvents] =
+      decode_now.write_invalidation_events -
+      decode_base_.write_invalidation_events;
+  slot[Shard::kDecodeInvalidatedSlots] =
+      decode_now.invalidated_slots - decode_base_.invalidated_slots;
+  slot[Shard::kDecodeFullInvalidations] =
+      decode_now.full_invalidations - decode_base_.full_invalidations;
   // leak.*: dynamic taint activity over the measured window (hv runs: the
   // whole schedule — cross-partition exposure is the point there).  The
   // per-run deltas and the end-of-run sink walk are pure functions of the
   // run index, so the family is digest-stable across worker counts.
   if (config_.taint) {
     const vm::TaintStats taint_now = cpu_.taint_stats();
-    run_metrics_.add("leak.pc_taints",
-                     taint_now.pc_taints - taint_base_.pc_taints);
-    run_metrics_.add("leak.source_loads",
-                     taint_now.source_loads - taint_base_.source_loads);
-    run_metrics_.add("leak.tainted_stores",
-                     taint_now.tainted_stores - taint_base_.tainted_stores);
-    run_metrics_.add("leak.sink_stores",
-                     taint_now.sink_stores - taint_base_.sink_stores);
-    run_metrics_.record("leak.sink_bits", cpu_.taint_sink_bits());
+    slot[Shard::kLeakPcTaints] = taint_now.pc_taints - taint_base_.pc_taints;
+    slot[Shard::kLeakSourceLoads] =
+        taint_now.source_loads - taint_base_.source_loads;
+    slot[Shard::kLeakTaintedStores] =
+        taint_now.tainted_stores - taint_base_.tainted_stores;
+    slot[Shard::kLeakSinkStores] =
+        taint_now.sink_stores - taint_base_.sink_stores;
+    obs::Histogram& sink_bits = run_metrics_.histograms[Shard::kLeakSinkBits];
+    sink_bits = obs::Histogram{};
+    sink_bits.record(cpu_.taint_sink_bits());
   }
   metrics_.merge_from(run_metrics_);
 }

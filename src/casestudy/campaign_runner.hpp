@@ -86,17 +86,18 @@ public:
   std::uint32_t code_bytes() const noexcept { return code_bytes_; }
   std::uint64_t verified_runs() const noexcept { return verified_runs_; }
 
-  /// This runner's metrics shard (empty unless config().collect_metrics):
-  /// per-run deltas folded at collect(), merged by the campaign driver
-  /// into CampaignResult::metrics.
+  /// The slot-by-slot sum of this runner's run records (all zero unless
+  /// config().collect_metrics), summed at collect(); the campaign driver
+  /// names the campaign's sum into CampaignResult::metrics
+  /// (casestudy::campaign_metrics).
   const obs::MetricsShard& metrics() const noexcept { return metrics_; }
 
-  /// The delta the LAST collected run contributed to `metrics()` (empty
-  /// unless config().collect_metrics).  Valid until the next setup();
-  /// the engine snapshots it per run when a persistence sink is attached,
-  /// so the campaign store can replay exact per-run telemetry.  Counters,
-  /// histograms and series in the delta are pure functions of the run
-  /// index; gauge deltas (decode-cache activity, DSR invalidation counts)
+  /// The record the LAST collected run contributed to `metrics()` (all
+  /// zero unless config().collect_metrics).  Valid until the next
+  /// execute(); the engine copies it per run when a persistence sink is
+  /// attached, so the campaign store can replay exact per-run telemetry.
+  /// Counter and histogram slots are pure functions of the run index; the
+  /// gauge-class slots (decode-cache activity, DSR invalidation counts)
   /// legitimately depend on what the previous run on this runner left
   /// behind — they are excluded from the metrics digest either way.
   const obs::MetricsShard& last_run_metrics() const noexcept {
@@ -133,21 +134,20 @@ private:
   RunSample hv_collect();
 
   // Observability (config_.collect_metrics / config_.timeline).  The
-  // metric baselines are snapped at setup() entry and the deltas folded
-  // into the shard at collect(), so construction-time work (initial
-  // predecode, guest image loads) never reaches the merged counters and
-  // every run's contribution is a pure function of its index — the
-  // property obs::metrics_digest certifies across worker counts.
+  // metric baselines are snapped at setup() entry and the run's record
+  // written and summed at collect(), so construction-time work (initial
+  // predecode, guest image loads) never reaches the sums and every run's
+  // record is a pure function of its index — the property
+  // obs::metrics_digest certifies across worker counts.
   void obs_begin_run();
-  /// Re-base the instruction-mix snapshot at the point the hierarchy
-  /// counters reset (after the unmeasured warm-up activation), so
-  /// `vm.mix.*` attributes exactly the instructions the `mem.*` counters
-  /// describe.
+  /// Zero the record's mix slots and point the VM at them where the
+  /// hierarchy counters reset (after the unmeasured warm-up activation),
+  /// so `vm.mix.*` counts exactly the instructions `mem.*` describes.
   void obs_rebase_mix();
-  void obs_publish_run(const RunSample& sample);
-  /// hv only (hv_runner.cpp): per-partition counters, frame-occupancy
-  /// histogram, and simulated-time partition spans on the timeline.
-  void hv_publish_obs();
+  void obs_publish_run();
+  /// hv only (hv_runner.cpp): simulated-time partition spans on the
+  /// timeline.
+  void hv_record_timeline();
 
   CampaignConfig config_;
   std::unique_ptr<Task> target_; // host-side input state lives here
@@ -175,11 +175,10 @@ private:
   std::uint64_t verified_runs_ = 0;
 
   obs::MetricsShard metrics_;
-  /// Scratch shard the obs_* hooks publish into; folded into `metrics_`
-  /// at the end of obs_publish_run and exposed via last_run_metrics().
+  /// The record the obs_* hooks write (its mix slots through the VM);
+  /// summed into `metrics_` at the end of obs_publish_run and exposed via
+  /// last_run_metrics().
   obs::MetricsShard run_metrics_;
-  std::vector<std::uint64_t> mix_;      // per-opcode counters (live array)
-  std::vector<std::uint64_t> mix_base_; // snapshot at setup() entry
   dsr::DsrRuntime::Stats dsr_base_;
   vm::DecodeCache::Stats decode_base_;
   vm::TaintStats taint_base_; // leak.* window baseline (config_.taint)

@@ -344,40 +344,24 @@ RunSample CampaignRunner::hv_collect() {
   return sample;
 }
 
-void CampaignRunner::hv_publish_obs() {
+void CampaignRunner::hv_record_timeline() {
+  // Spans live on the SIMULATED clock: each measured run replays `frames`
+  // minor frames from cycle 0, so consecutive runs are laid out end to end
+  // at their schedule positions.
   const rtos::HypervisorConfig& clock = hv_->hypervisor.config();
-  // Every activation's nominal grant is its whole minor frame.
-  const std::uint64_t frame_cycles =
-      std::uint64_t{clock.minor_frame_ms} * clock.cycles_per_ms;
-  // Timeline spans live on the SIMULATED clock: each measured run replays
-  // `frames` minor frames from cycle 0, so consecutive runs are laid out
-  // end to end at their schedule positions.
   const std::uint64_t run_base_ms = *current_run_ *
                                     std::uint64_t{config_.hypervisor->frames} *
                                     clock.minor_frame_ms;
+  const double cycles_to_us =
+      1000.0 / static_cast<double>(clock.cycles_per_ms);
   for (const rtos::ActivationRecord& record : hv_->records) {
-    if (config_.collect_metrics) {
-      const std::string prefix = "hv." + record.partition + ".";
-      run_metrics_.add(prefix + "activations", 1);
-      run_metrics_.add(prefix + "consumed_cycles", record.cycles_used);
-      run_metrics_.add(prefix + "granted_cycles", frame_cycles);
-      if (record.overran) {
-        run_metrics_.add(prefix + "overruns", 1);
-      }
-      run_metrics_.record(prefix + "frame_occupancy_pct",
-                          record.cycles_used * 100 / frame_cycles);
-    }
-    if (config_.timeline != nullptr) {
-      const double cycles_to_us =
-          1000.0 / static_cast<double>(clock.cycles_per_ms);
-      config_.timeline->record(
-          "partitions", record.partition,
-          "run " + std::to_string(*current_run_) + " frame " +
-              std::to_string(record.frame_index),
-          static_cast<double>(run_base_ms) * 1000.0 +
-              static_cast<double>(record.start_cycle) * cycles_to_us,
-          static_cast<double>(record.cycles_used) * cycles_to_us);
-    }
+    config_.timeline->record(
+        "partitions", record.partition,
+        "run " + std::to_string(*current_run_) + " frame " +
+            std::to_string(record.frame_index),
+        static_cast<double>(run_base_ms) * 1000.0 +
+            static_cast<double>(record.start_cycle) * cycles_to_us,
+        static_cast<double>(record.cycles_used) * cycles_to_us);
   }
 }
 

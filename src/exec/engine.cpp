@@ -94,9 +94,9 @@ void worker_main(CampaignJob& job, unsigned slot) {
       WorkerTelemetry* const telemetry =
           job.telemetry ? &(*job.telemetry)[slot] : nullptr;
       const bool timed = timeline != nullptr || telemetry != nullptr;
-      // Per-run metric deltas buffered shard-locally for the sample sink:
-      // the runner's scratch shard is overwritten every run, so a
-      // persistence sink needs its own copy until the shard completes.
+      // Per-run metric records buffered shard-locally for the sample sink:
+      // the runner's record is overwritten every run, so a persistence
+      // sink needs its own copy until the shard completes.
       std::vector<obs::MetricsShard> shard_metrics;
       const bool capture_metrics =
           static_cast<bool>(job.sample_sink) && job.config.collect_metrics;
@@ -210,19 +210,23 @@ void fill_metadata(const casestudy::CampaignConfig& config,
   result.code_bytes = runner.code_bytes();
 }
 
-/// Collection barrier: fold the per-worker metric shards into the result
-/// (order-independent — counter sums, histogram folds) and attach the
-/// engine's own wall-clock telemetry as gauges.  Runs strictly after the
-/// pool has joined, so no shard is still being written.
-void merge_metrics(const RunnerSlots& runners,
+/// Collection barrier: sum the runners' records with the stored prefix's,
+/// name the sum together with the samples (casestudy::campaign_metrics),
+/// and attach the engine's own wall-clock telemetry as gauges.  Runs
+/// strictly after the pool has joined, so no record is still being
+/// written; every name is built here, once per campaign.
+void merge_metrics(const casestudy::CampaignConfig& config,
+                   const RunnerSlots& runners, obs::MetricsShard& records,
                    const std::vector<WorkerTelemetry>& telemetry,
                    unsigned workers, double wall_us,
                    casestudy::CampaignResult& result) {
   for (const auto& runner : runners) {
     if (runner) {
-      result.metrics.merge_from(runner->metrics());
+      records.merge_from(runner->metrics());
     }
   }
+  result.metrics =
+      casestudy::campaign_metrics(config, result.samples, records);
   result.metrics.set_gauge("engine.workers", static_cast<double>(workers));
   result.metrics.set_gauge("engine.wall_seconds", wall_us / 1e6);
   for (std::size_t slot = 0; slot < telemetry.size(); ++slot) {
@@ -256,7 +260,7 @@ void validate_prefix(const casestudy::CampaignConfig& config,
       prefix.run_metrics.empty()) {
     throw std::invalid_argument(
         "stored prefix: the campaign collects metrics but the prefix "
-        "carries no per-run metric deltas (stored without "
+        "carries no per-run metric records (stored without "
         "collect_metrics?)");
   }
 }
@@ -273,16 +277,17 @@ void splice_prefix(const StoredPrefix& prefix, std::uint64_t begin,
 }
 
 /// Collection-barrier bookkeeping for the consumed part of the prefix:
-/// fold its per-run metric deltas into the result shard (order-independent
-/// merge — the same totals direct accumulation would have produced) and
+/// sum its per-run metric records into `records` (slot-by-slot sums
+/// commute — the same totals direct accumulation would have produced) and
 /// credit its golden-model verifications.
 void merge_prefix(const casestudy::CampaignConfig& config,
                   const StoredPrefix& prefix, std::uint64_t consumed,
+                  obs::MetricsShard& records,
                   casestudy::CampaignResult& result) {
   for (std::uint64_t index = 0; index < consumed; ++index) {
     const auto slot = static_cast<std::size_t>(index);
     if (config.collect_metrics) {
-      result.metrics.merge_from(prefix.run_metrics[slot]);
+      records.merge_from(prefix.run_metrics[slot]);
     }
     if (!prefix.verified.empty() && prefix.verified[slot] != 0) {
       ++result.verified_runs;
@@ -388,11 +393,13 @@ CampaignEngine::grow(const casestudy::CampaignConfig& config,
 
   result.verified_runs = total_verified(runners);
   fill_metadata(run_config, runners, result);
+  obs::MetricsShard records;
   merge_prefix(config, prefix,
-               std::min<std::uint64_t>(stored, result.times.size()), result);
+               std::min<std::uint64_t>(stored, result.times.size()), records,
+               result);
   if (config.collect_metrics) {
-    merge_metrics(runners, telemetry, widest_workers, elapsed_us(wall_start),
-                  result);
+    merge_metrics(config, runners, records, telemetry, widest_workers,
+                  elapsed_us(wall_start), result);
   }
   return result;
 }

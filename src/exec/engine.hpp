@@ -38,9 +38,9 @@ namespace proxima::exec {
 
 /// Streaming per-shard persistence (the campaign store): invoked once per
 /// COMPLETED shard with the shard's full `RunSample`s in run-index order,
-/// plus — when the campaign collects metrics — the per-run metric deltas
-/// each sample contributed (`run_metrics[i]` belongs to run
-/// `range.begin + i`; the span is empty otherwise).  Calls are serialised
+/// plus — when the campaign collects metrics — the per-run metric records
+/// the runner published beside each sample (`run_metrics[i]` belongs to
+/// run `range.begin + i`; the span is empty otherwise).  Calls are serialised
 /// by the engine.  A shard interrupted by a fault is never emitted, so
 /// everything a sink persists is a valid contiguous record of the runs it
 /// covers — the property that makes resume-from-prefix sound.
@@ -51,7 +51,7 @@ using SampleSink =
 
 /// An already-materialised prefix of a campaign (from the on-disk store):
 /// samples for run indices [0, samples.size()).  `run_metrics` is empty or
-/// holds one per-run metrics delta per sample (required when the replayed
+/// holds one per-run metric record per sample (required when the replayed
 /// config collects metrics); `verified` is empty or holds one golden-model
 /// verification flag per sample.  Because every run is a pure function of
 /// its index, splicing a stored prefix in front of freshly executed
@@ -80,8 +80,8 @@ public:
   /// not wait for the queue to drain.
   ///
   /// Runs [0, n) of a stored `prefix` (n = min(prefix size, config.runs))
-  /// are spliced in without executing, their per-run metric deltas and
-  /// verification flags folded in at the collection barrier; only [n,
+  /// are spliced in without executing, their per-run metric records and
+  /// verification flags summed in at the collection barrier; only [n,
   /// runs) executes, and only it reaches the sample_sink.  The result is
   /// bit-identical to an uninterrupted campaign at any worker count.
   casestudy::CampaignResult run(const casestudy::CampaignConfig& config,

@@ -75,6 +75,27 @@ enum class Opcode : std::uint8_t {
   kOpcodeCount,
 };
 
+/// X-macro over every executable opcode, in enum order.  The fast core's
+/// computed-goto label table and the `vm.mix.*` metric names are generated
+/// from this list; a static_assert in fast_vm.cpp verifies the order
+/// matches the enum values.
+#define PROXIMA_VM_FOREACH_OPCODE(X)                                          \
+  X(kNop)                                                                     \
+  X(kAdd) X(kSub) X(kAnd) X(kOr) X(kXor) X(kSll) X(kSrl) X(kSra)              \
+  X(kMul) X(kDiv) X(kAddcc) X(kSubcc) X(kOrcc)                                \
+  X(kAddi) X(kSubi) X(kAndi) X(kOri) X(kXori) X(kSlli) X(kSrli) X(kSrai)      \
+  X(kMuli) X(kDivi) X(kAddcci) X(kSubcci) X(kOrlo) X(kSethi)                  \
+  X(kLd) X(kLdx) X(kSt) X(kStx) X(kLdb) X(kLdbx) X(kStb) X(kStbx)             \
+  X(kLdd) X(kLddx) X(kStd) X(kStdx) X(kLdf) X(kLdfx) X(kStf) X(kStfx)         \
+  X(kCall) X(kJmpl)                                                           \
+  X(kBa) X(kBn) X(kBe) X(kBne) X(kBg) X(kBle) X(kBge) X(kBl)                  \
+  X(kBgu) X(kBleu) X(kBcc) X(kBcs) X(kBpos) X(kBneg)                          \
+  X(kFbe) X(kFbne) X(kFbl) X(kFbg) X(kFble) X(kFbge)                          \
+  X(kSave) X(kSavex) X(kRestore)                                              \
+  X(kFaddd) X(kFsubd) X(kFmuld) X(kFdivd) X(kFsqrtd) X(kFcmpd)                \
+  X(kFitod) X(kFdtoi) X(kFmovd) X(kFnegd) X(kFabsd)                           \
+  X(kRdtick) X(kIpoint) X(kFlush) X(kHalt) X(kTrapReloc)
+
 /// Instruction encodings.
 enum class Format : std::uint8_t {
   kR, // op rd rs1 rs2

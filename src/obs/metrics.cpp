@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <iterator>
 
 namespace proxima::obs {
 
@@ -28,6 +29,128 @@ void MetricsSnapshot::merge_from(const MetricsSnapshot& other) {
   }
   for (const auto& [name, value] : other.gauges) {
     gauges[name] += value;
+  }
+}
+
+void MetricsShard::merge_from(const MetricsShard& other) {
+  for (std::size_t i = 0; i < kValueSlots; ++i) {
+    values[i] += other.values[i];
+  }
+  for (std::size_t i = 0; i < kHistogramSlots; ++i) {
+    if (other.histograms[i].count != 0) {
+      histograms[i].merge_from(other.histograms[i]);
+    }
+  }
+}
+
+namespace {
+
+/// Which layout flag, if any, a slot's presence hangs on.
+enum class Family : std::uint8_t { kDecode, kDsr, kLeak };
+
+struct SlotSpec {
+  const char* name;
+  Family family;
+  bool gauge;
+};
+
+/// The value slots after the mix, in slot order.
+constexpr SlotSpec kValueSpecs[] = {
+    {"dsr.reseeds", Family::kDsr, false},
+    {"dsr.ondemand_reseeds", Family::kDsr, false},
+    {"dsr.relocations", Family::kDsr, false},
+    {"dsr.bytes_copied", Family::kDsr, false},
+    {"dsr.lazy_traps", Family::kDsr, false},
+    {"dsr.lazy_cycles", Family::kDsr, false},
+    // Invalidated-line counts depend on what the previous run on the same
+    // runner left behind, and decode-cache activity on which runs one
+    // runner executed: both vary with the sharding, so gauge class.
+    {"dsr.lines_invalidated", Family::kDsr, true},
+    {"vm.decode.decodes", Family::kDecode, true},
+    {"vm.decode.write_invalidation_events", Family::kDecode, true},
+    {"vm.decode.invalidated_slots", Family::kDecode, true},
+    {"vm.decode.full_invalidations", Family::kDecode, true},
+    {"leak.pc_taints", Family::kLeak, false},
+    {"leak.source_loads", Family::kLeak, false},
+    {"leak.tainted_stores", Family::kLeak, false},
+    {"leak.sink_stores", Family::kLeak, false},
+};
+static_assert(MetricsShard::kMixSlots + std::size(kValueSpecs) ==
+              MetricsShard::kValueSlots);
+
+constexpr SlotSpec kHistogramSpecs[] = {
+    {"leak.sink_bits", Family::kLeak, false},
+};
+static_assert(std::size(kHistogramSpecs) == MetricsShard::kHistogramSlots);
+
+/// X-macro token of an opcode with the "k" prefix stripped: kAddi ->
+/// "Addi".  Display names (opcode_info) collide across R/I forms ("add"
+/// twice), so metric names use the enum spelling.
+constexpr const char* kOpcodeTokens[] = {
+#define PROXIMA_OBS_OPCODE_TOKEN(op) (#op) + 1,
+    PROXIMA_VM_FOREACH_OPCODE(PROXIMA_OBS_OPCODE_TOKEN)
+#undef PROXIMA_OBS_OPCODE_TOKEN
+};
+static_assert(std::size(kOpcodeTokens) == MetricsShard::kMixSlots);
+
+bool present(Family family, MetricsLayout layout) {
+  switch (family) {
+  case Family::kDsr:
+    return layout.dsr;
+  case Family::kLeak:
+    return layout.taint;
+  case Family::kDecode:
+    break;
+  }
+  return true;
+}
+
+} // namespace
+
+const std::vector<std::string>& slot_names() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> list;
+    list.reserve(MetricsShard::kSlots);
+    for (const char* token : kOpcodeTokens) {
+      list.push_back(std::string("vm.mix.") + token);
+    }
+    for (const SlotSpec& spec : kValueSpecs) {
+      list.emplace_back(spec.name);
+    }
+    for (const SlotSpec& spec : kHistogramSpecs) {
+      list.emplace_back(spec.name);
+    }
+    return list;
+  }();
+  return names;
+}
+
+void name_slots(const MetricsShard& shard, MetricsLayout layout,
+                MetricsSnapshot& snapshot) {
+  const std::vector<std::string>& names = slot_names();
+  for (std::size_t i = 0; i < MetricsShard::kMixSlots; ++i) {
+    if (shard.values[i] != 0) {
+      snapshot.add(names[i], shard.values[i]);
+    }
+  }
+  for (std::size_t i = 0; i < std::size(kValueSpecs); ++i) {
+    const SlotSpec& spec = kValueSpecs[i];
+    const std::size_t slot = MetricsShard::kMixSlots + i;
+    if (!present(spec.family, layout)) {
+      continue;
+    }
+    if (spec.gauge) {
+      snapshot.add_gauge(names[slot],
+                         static_cast<double>(shard.values[slot]));
+    } else {
+      snapshot.add(names[slot], shard.values[slot]);
+    }
+  }
+  for (std::size_t i = 0; i < std::size(kHistogramSpecs); ++i) {
+    if (present(kHistogramSpecs[i].family, layout)) {
+      snapshot.histograms[names[MetricsShard::kValueSlots + i]].merge_from(
+          shard.histograms[i]);
+    }
   }
 }
 

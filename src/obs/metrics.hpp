@@ -27,15 +27,25 @@
 // series are bit-identical — the cheap cross-worker-count check the CI
 // uses (`proxima run --workers 8` vs `--workers 1`).
 //
-// Shards: each engine worker's runner owns a private `MetricsSnapshot`
-// (alias `MetricsShard`) and touches it only from its own thread; the
-// engine merges the shards at the collection barrier after the pool has
-// joined.  Nothing here is on the VM hot path — the per-instruction mix is
-// a raw u64 array owned by the runner (vm::Vm::set_mix_counters) and is
-// folded into the snapshot once per run.
+// Records: what a run publishes is not a snapshot but a `MetricsShard`, a
+// fixed-layout record of unnamed slots (instruction mix, DSR, decode-cache
+// and taint activity).  Each runner sums its runs' records slot by slot
+// and touches its sum only from its own thread; the engine sums the
+// runners' records, and a stored prefix's, after the pool has joined, and
+// attaches names once per campaign (`name_slots`).  So no string is built
+// and no map node allocated per run.  What a run's `RunSample` already
+// holds (UoA time, perf counters, partition activity) is not in the record:
+// casestudy::campaign_metrics names it from the samples at the same point.
+// Nothing here is on the VM hot path — the per-instruction mix is the
+// record's own mix slots, incremented by the VM through a raw pointer
+// (vm::Vm::set_mix_counters).
 #pragma once
 
+#include "isa/opcode.hpp"
+
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -58,12 +68,7 @@ struct Histogram {
   std::uint64_t max = 0;
 
   static std::size_t bucket_of(std::uint64_t value) noexcept {
-    std::size_t bits = 0;
-    while (value != 0) {
-      ++bits;
-      value >>= 1;
-    }
-    return bits;
+    return static_cast<std::size_t>(std::bit_width(value));
   }
 
   void record(std::uint64_t value) {
@@ -123,9 +128,67 @@ struct MetricsSnapshot {
                          const MetricsSnapshot&) = default;
 };
 
-/// Per-worker shard: structurally a snapshot; the name marks intent (one
-/// writer thread until the engine's collection barrier).
-using MetricsShard = MetricsSnapshot;
+/// One run's runner-side metrics, or the slot-by-slot sum of many runs'
+/// records: a fixed layout of unnamed slots.  Value slots hold u64 event
+/// counts; the first `kMixSlots` count retired instructions per opcode
+/// (`vm.mix.<Op>`) and the VM increments them directly.  Histogram slots
+/// are numbered after the value slots.  Names and presence are attached
+/// once per campaign by `name_slots`; `slot_names` lists them.
+struct MetricsShard {
+  static constexpr std::size_t kMixSlots =
+      static_cast<std::size_t>(isa::Opcode::kOpcodeCount);
+  enum ValueSlot : std::size_t {
+    kDsrReseeds = kMixSlots,
+    kDsrOndemandReseeds,
+    kDsrRelocations,
+    kDsrBytesCopied,
+    kDsrLazyTraps,
+    kDsrLazyCycles,
+    kDsrLinesInvalidated, // gauge class, as are the four vm.decode.* slots
+    kDecodeDecodes,
+    kDecodeWriteInvalidationEvents,
+    kDecodeInvalidatedSlots,
+    kDecodeFullInvalidations,
+    kLeakPcTaints,
+    kLeakSourceLoads,
+    kLeakTaintedStores,
+    kLeakSinkStores,
+    kValueSlots,
+  };
+  enum HistogramSlot : std::size_t {
+    kLeakSinkBits,
+    kHistogramSlots,
+  };
+  static constexpr std::size_t kSlots =
+      std::size_t{kValueSlots} + kHistogramSlots;
+
+  std::array<std::uint64_t, kValueSlots> values{};
+  std::array<Histogram, kHistogramSlots> histograms{};
+
+  /// Slot-by-slot sum: values add, histograms fold.
+  void merge_from(const MetricsShard& other);
+
+  friend bool operator==(const MetricsShard&, const MetricsShard&) = default;
+};
+
+/// Which optional slot families a campaign publishes; a pure function of
+/// its config (casestudy::campaign_metrics derives it).
+struct MetricsLayout {
+  bool dsr = false;   // a DSR runtime exists: dsr.*
+  bool taint = false; // the campaign tracks taint: leak.*
+};
+
+/// Every slot's name, in slot order (value slots, then histogram slots):
+/// the one map from slots to names.  The campaign store lists it once per
+/// cell.  Built on first use.
+const std::vector<std::string>& slot_names();
+
+/// Fold `shard` into `snapshot` under its slot names.  Presence follows
+/// what publishing by name would give: `vm.mix.*` only when nonzero,
+/// `vm.decode.*` always, `dsr.*` iff `layout.dsr`, `leak.*` iff
+/// `layout.taint`.  `dsr.lines_invalidated` and `vm.decode.*` are gauges.
+void name_slots(const MetricsShard& shard, MetricsLayout layout,
+                MetricsSnapshot& snapshot);
 
 /// FNV-1a digest over the deterministic classes (counters, histograms,
 /// series — names and values; gauges excluded), rendered by the hex

@@ -46,8 +46,8 @@ struct PrefixArrays {
 /// Load the cell (when present) and unpack its contiguous prefix, capped
 /// at `limit` runs.  Enforces the metrics-presence contract: a config that
 /// collects metrics cannot be served by records stored without them (the
-/// per-run deltas are unrecoverable), while the converse merely ignores
-/// the stored deltas.
+/// per-run records are unrecoverable), while the converse merely ignores
+/// the stored records.
 PrefixArrays load_prefix(const std::string& path, const CellHeader& expected,
                          bool want_metrics, std::uint64_t limit) {
   PrefixArrays arrays;
